@@ -832,6 +832,14 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _add_engine_arg(p) -> None:
+    """`--engine` flag shared by every verb that runs one system."""
+    p.add_argument("--engine", default="columnar",
+                   choices=("columnar", "cycle"),
+                   help="stepping engine; 'cycle' is the per-cycle "
+                        "reference (reports are identical)")
+
+
 def _add_serve_args(p) -> None:
     """`--serve` companion flags shared by `repro run` and `repro sweep`."""
     p.add_argument("--serve", action="store_true",
@@ -962,8 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help=_EXPERIMENTS["trace"])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event JSON output path")
     p.add_argument("--jsonl", default=None, metavar="PATH",
@@ -977,8 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help=_EXPERIMENTS["stats"])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--interval", type=int, default=1024,
                    help="cycles between metric samples")
     p.add_argument("--rows", type=int, default=8,
@@ -987,8 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help=_EXPERIMENTS["run"])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
@@ -1010,8 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help=_EXPERIMENTS["serve"])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--host", default="127.0.0.1",
@@ -1041,8 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help=_EXPERIMENTS["profile"])
     p.add_argument("--benchmark", default="gcc", choices=BENCHMARK_NAMES)
     p.add_argument("--corunner", default="mcf", choices=BENCHMARK_NAMES)
-    p.add_argument("--engine", default="columnar",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--cycles", type=int, default=0,
                    help="run length (default: the experiment default)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -1052,8 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resume", help=_EXPERIMENTS["resume"])
     p.add_argument("snapshot", help="snapshot file written by 'repro run'")
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--cycles", type=int, default=0,
                    help="additional cycles to run")
     p.add_argument("--until", type=int, default=0, metavar="CYCLE",
@@ -1064,8 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="one of: livelock, flood, saturate, degrade, "
                         "epoch-stress, malformed-trace")
-    p.add_argument("--engine", default="cycle",
-                   choices=("cycle", "next_event", "columnar"))
+    _add_engine_arg(p)
     p.add_argument("--cycles", type=int, default=0,
                    help="override the scenario's default run length")
     p.add_argument("--dump", default=None, metavar="PATH",

@@ -78,8 +78,8 @@ class PhaseDetector:
 
         Between boundaries the detector's observable state cannot
         change (``note_demand`` only bumps a counter read at the
-        boundary), so this is a sound lower bound for the next-event
-        engine (DESIGN.md §4).
+        boundary), so this is a sound lower bound for the columnar
+        engine's clock jumps (DESIGN.md §4).
         """
         return max(self._next_boundary, cycle)
 

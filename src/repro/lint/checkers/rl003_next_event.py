@@ -1,11 +1,12 @@
 """RL003: every ``tick()``-able component must publish its next event.
 
-The next-event engine (DESIGN.md §4) may only jump the clock when it
-knows a sound lower bound on each component's next state change.  A
-class that defines ``tick()`` but not ``next_event_cycle()`` is a trap:
-under ``engine="cycle"`` it works, under ``engine="next_event"`` the
-engine cannot see its pending work and silently freezes it across a
-skip — precisely the divergence the bit-identical guarantee forbids.
+The columnar engine (DESIGN.md §4) may only skip a station, or jump
+the clock, when it knows a sound lower bound on each component's next
+state change.  A class that defines ``tick()`` but not
+``next_event_cycle()`` is a trap: under ``engine="cycle"`` it works,
+under the default ``engine="columnar"`` the engine cannot see its
+pending work and silently freezes it across a skip — precisely the
+divergence the bit-identical guarantee forbids.
 
 Any class in a simulated package that defines the tick method must
 therefore either define ``next_event_cycle`` (directly, or via a base

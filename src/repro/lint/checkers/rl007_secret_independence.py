@@ -64,8 +64,7 @@ _SINK_RETURNS = [
     "repro.core.*.earliest_fake_release",
     "repro.core.*._earliest_eligible",
     "repro.core.*.can_release_*",
-    "repro.sim.columnar.ColumnarEngine._min_horizon",
-    "repro.sim.columnar.ColumnarEngine._next_target",
+    "repro.sim.columnar.ColumnarEngine.next_target",
 ]
 
 #: Class-qualified on purpose: ``FixedServiceScheduler`` keeps its own

@@ -1,12 +1,12 @@
 """RL008: columnar station mutations must be paired with dirty-marks.
 
-The columnar engine (PR 6, ``repro/sim/columnar.py``) only re-polls
-``next_event_cycle`` for ledger rows whose ``dirty`` flag is set; a
+The columnar engine (``repro/sim/columnar.py``) only re-polls
+``next_event_cycle`` for stations whose ``dirty`` flag is set; a
 station mutation that is not paired with a dirty-mark leaves a stale
 cached horizon, and the engine silently schedules off it — the
-bit-identity guarantee against ``engine="next_event"`` breaks in a
-way no local (per-function) check can see when the mutation happens
-through a helper.
+bit-identity guarantee against the per-cycle ``engine="cycle"``
+reference breaks in a way no local (per-function) check can see when
+the mutation happens through a helper.
 
 The rule is function-granularity and interprocedural: a function in
 the checked scope that calls a *mutator* (``*.tick``, ``*.enqueue``,
@@ -14,7 +14,7 @@ the checked scope that calls a *mutator* (``*.tick``, ``*.enqueue``,
 caches, ...) is **paired** when a dirty-mark appears in the function
 itself, in any transitive callee, or in a direct caller (the caller
 owning the mark for a mutation helper is the
-``_step``/``_refresh_horizons`` split the engine already uses).  A
+``step``/``refresh_horizons`` split the engine already uses).  A
 *dirty-mark* is an assignment of a non-``False`` value to a
 ``*dirty*`` target (``dirty[i] = True``, ``self._dirty[j] = True``)
 or a call to a ``*mark_all_dirty*`` helper; clearing a flag
@@ -22,7 +22,7 @@ or a call to a ``*mark_all_dirty*`` helper; clearing a flag
 
 Scope, mutator patterns, and mark patterns are configurable via
 ``[tool.repro-lint.rl008]`` so future engines can enrol their own
-ledgers.
+horizon caches.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ pure function of the run configuration:
   and NoC grants;
 * a **metrics** registry plus interval sampler
   (:mod:`repro.obs.metrics`) producing time-series that are identical
-  under the per-cycle and next-event engines;
+  under the per-cycle and columnar engines;
 * a live **shaping monitor** (:class:`~repro.obs.monitor.ShapingMonitor`)
   computing running TVD/MI between intrinsic and shaped streams and
   flagging guarantee violations mid-run;

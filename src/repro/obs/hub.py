@@ -36,9 +36,9 @@ class ObservabilityConfig:
     :data:`~repro.obs.events.ALL_CATEGORIES`).  ``sample_interval``
     enables the metrics time-series at that cycle period.  ``monitor``
     enables the live shaping monitor.  ``noc_grant_trace_limit``
-    bounds the NoC channels' adversary-visible grant traces — the
-    observability-owned successor of the deprecated
-    ``with_noc(trace_limit=...)`` knob.  ``profile`` enables the
+    bounds the NoC channels' adversary-visible grant traces to the
+    most recent N grants (``None`` keeps them in full, which the
+    security benchmarks need).  ``profile`` enables the
     deterministic engine self-profiler (:mod:`repro.obs.profile`);
     its counters live outside reports/digests, so turning it on never
     perturbs results.

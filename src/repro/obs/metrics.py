@@ -9,9 +9,9 @@ Engine correctness
 ------------------
 
 The sampler must produce the *same* series under ``engine="cycle"``
-and ``engine="next_event"``.  The per-cycle engine calls
-:meth:`IntervalSampler.advance` at the end of every tick; the
-next-event engine additionally calls :meth:`IntervalSampler.fill`
+and ``engine="columnar"``.  Both engines call
+:meth:`IntervalSampler.advance` at the end of every stepped cycle; the
+columnar engine additionally calls :meth:`IntervalSampler.fill`
 when it jumps the clock over a span in which no component can change
 state.  Because nothing changes during a skipped span, extending the
 current probe values across every sample boundary inside the span is
@@ -216,7 +216,7 @@ class IntervalSampler:
     A sample stamped at cycle ``s`` reflects simulator state after the
     tick that ran at cycle ``s`` (or, in a skipped span, the closed-form
     extension of the state at the span's start — identical by the
-    next-event engine's no-state-change guarantee).
+    columnar engine's no-state-change guarantee).
     """
 
     def __init__(self, interval: int, limit: Optional[int] = None) -> None:
@@ -268,7 +268,7 @@ class IntervalSampler:
         """Closed-form fill across a skipped span ending at ``up_to_cycle``.
 
         Emits a sample for every boundary in the span with the current
-        probe values — exact because the next-event engine only skips
+        probe values — exact because the columnar engine only skips
         spans in which no component state changes.
         """
         while self._next <= up_to_cycle:

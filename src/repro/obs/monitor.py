@@ -21,7 +21,7 @@ histograms the shapers already maintain:
 
 Checkpoints use the same advance/fill discipline as the interval
 sampler, so the history and violation stream are identical under the
-per-cycle and next-event engines (histograms only change inside
+per-cycle and columnar engines (histograms only change inside
 ``tick``, never across a skipped span).
 """
 

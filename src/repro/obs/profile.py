@@ -22,7 +22,7 @@ Determinism contract
 --------------------
 
 Everything above is **integer arithmetic on simulated cycles** and is
-bit-identical across the ``cycle``, ``next_event`` and ``columnar``
+bit-identical across the ``cycle`` and ``columnar``
 engines' *shared quantities* (total simulated cycles); engine-specific
 quantities (skip spans, station skips) describe the engine, not the
 simulated hardware, and are intentionally engine-variant.  None of it
@@ -123,7 +123,7 @@ class EngineProfiler:
     # -- engine hooks (integer cycle arithmetic only) ------------------------
 
     def record_skip(self, span: int) -> None:
-        """A clock jump of ``span`` cycles landed (next_event/columnar)."""
+        """A clock jump of ``span`` cycles landed (columnar engine)."""
         if span <= 0:
             return
         self.skipped_cycles += span

@@ -169,6 +169,12 @@ class WorkerHost:
         if self._active_channel is not None:
             self._active_channel.close()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed, or never connected
             try:
                 self._listener.close()
             except OSError:

@@ -9,7 +9,7 @@ both engines).  The injector also participates in the next-event
 protocol: it reports its upcoming injection cycles and pins the system
 to per-cycle stepping while a fault is actively mutating state, which
 keeps fault runs bit-identical between ``engine="cycle"`` and
-``engine="next_event"``.
+``engine="columnar"``.
 
 The harness exists to *prove* the resilience contract: every injected
 adversity must end in a typed error (e.g.

@@ -28,7 +28,7 @@ class ResilienceConfig:
 
     ``checkpoint_every``
         Snapshot the whole system every N cycles (0 disables).  Under
-        the next-event engine, clock jumps are capped at checkpoint
+        the columnar engine, clock jumps are capped at checkpoint
         boundaries so snapshots land exactly on multiples of N —
         behaviour-preserving by the engine's no-state-change guarantee.
     ``checkpoint_dir`` / ``checkpoint_keep``

@@ -79,7 +79,7 @@ def _monitor(system):
 
 
 def scenario_livelock(
-    cycles: int = 80_000, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 80_000, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """A permanent request-link stall: the watchdog must catch it."""
     system = _shaped_system(
@@ -111,7 +111,7 @@ def scenario_livelock(
 
 
 def scenario_flood(
-    cycles: int = 60_000, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 60_000, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """Traffic bursts far above the configured rate: shaping must hold."""
     system = _shaped_system(
@@ -143,7 +143,7 @@ def scenario_flood(
 
 
 def scenario_saturate(
-    cycles: int = 60_000, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 60_000, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """Drive the transaction queue to its bound; the bound must hold."""
     system = _shaped_system(
@@ -186,7 +186,7 @@ def scenario_saturate(
 
 
 def scenario_degrade(
-    cycles: int = 120_000, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 120_000, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """Exhaust the jitter budget: strict-rate fallback must be flagged."""
     system = _shaped_system(
@@ -225,7 +225,7 @@ def scenario_degrade(
 
 
 def scenario_epoch_stress(
-    cycles: int = 40_000, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 40_000, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """Burst right before epoch boundaries: AIMD feedback under fire."""
     system = _shaped_system(
@@ -251,7 +251,7 @@ def scenario_epoch_stress(
 
 
 def scenario_malformed_trace(
-    cycles: int = 0, dump_path: str = "", engine: str = "cycle"
+    cycles: int = 0, dump_path: str = "", engine: str = "columnar"
 ) -> Dict[str, Any]:
     """A malformed trace file must fail typed, with file/line context."""
     import tempfile
@@ -303,7 +303,7 @@ def run_scenario(
     name: str,
     cycles: int = 0,
     dump_path: str = "",
-    engine: str = "cycle",
+    engine: str = "columnar",
 ) -> Dict[str, Any]:
     """Run one named scenario; unknown names raise ConfigurationError."""
     try:

@@ -10,7 +10,7 @@ and the watchdog aborts cleanly with a
 diagnostic dump (also emitted through :mod:`repro.obs` and optionally
 written to a JSON file).
 
-Engine note: under the next-event engine the run loop caps every clock
+Engine note: under the columnar engine the run loop caps every clock
 jump at :meth:`Watchdog.horizon`, so a frozen system still trips the
 progress check at the same cycle the per-cycle loop would — skipped
 spans are progress-free by construction, which keeps the two engines

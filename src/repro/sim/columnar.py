@@ -1,53 +1,49 @@
-"""Columnar next-event engine: batched horizon ledger, selective ticks.
+"""Columnar engine: cached station horizons, selective ticks.
 
-``System.run(engine="next_event")`` (PR 1) skips idle *spans* but still
-advances events one Python object at a time inside each stepped cycle:
-every component is ticked and every ``next_event_cycle`` re-polled,
-even for stations that provably cannot act.  This module rebuilds that
-hot path around **columnar state**: one numpy structured array — the
-*horizon ledger* — holds every station's next-event horizon, dirty
-flag, kind and owning core, so the per-step scheduling decisions
-(the min-reduction that picks the next stepped cycle, the runnable
-set) operate on whole columns instead of a Python object walk.
-
-Selected via ``System.run(engine="columnar")``.
+:meth:`System.run <repro.sim.system.System.run>` drives this engine by
+default (``engine="columnar"``); ``engine="cycle"`` runs the plain
+per-cycle :meth:`System.tick <repro.sim.system.System.tick>`, kept as
+the independent reference.  The run loop in ``System.run`` owns the
+watchdog, checkpoints and profiler bracketing; this module supplies
+its three moves: :meth:`ColumnarEngine.step` (one stepped cycle),
+:meth:`ColumnarEngine.refresh_horizons` and
+:meth:`ColumnarEngine.next_target` (how far the clock may jump).
 
 Station model
 -------------
-Every pipeline stage of :meth:`System.tick` is a *station* with a row
-in the ledger::
+Every pipeline stage of :meth:`System.tick` is a *station* with a slot
+in the horizon list, in tick order::
 
-    row      station              kind
-    -------  -------------------  ------------
-    0..n-1   cores                KIND_CORE
-    n..2n-1  request paths        KIND_REQ_PATH
-    2n       request link         KIND_REQ_LINK
-    2n+1     memory controller    KIND_CONTROLLER
-    2n+2..   response paths       KIND_RESP_PATH
-    3n+2     response link        KIND_RESP_LINK
-    3n+3     fault injector       KIND_INJECTOR   (only when wired)
+    slot     station
+    -------  -------------------
+    0..n-1   cores
+    n..2n-1  request paths
+    2n       request link
+    2n+1     memory controller
+    2n+2..   response paths
+    3n+2     response link
+    3n+3     fault injector       (only when wired)
 
 Each stepped cycle runs a station iff its cached horizon is due
 (``horizon <= cycle``) **or** an upstream station fed it this cycle
 (a core that ran feeds its request path; any request path feeds the
 request link; fresh enqueues feed the controller; egress pops feed a
 response path; any response path feeds the response link).  A station
-that runs — or receives input — is marked *dirty* and only dirty rows
-have ``next_event_cycle`` re-polled after the tick; clean horizons
-stay cached.  This is the fix for the ``min()``-over-stations scan:
-the per-cycle cost is proportional to the number of stations that
-actually changed, not the station count.
+that runs — or receives input — is marked *dirty* and only dirty
+slots have ``next_event_cycle`` re-polled after the tick; clean
+horizons stay cached, so the per-cycle cost follows the number of
+stations that actually changed, not the station count.
 
 Bit-identity
 ------------
-The engine is bit-identical to ``engine="next_event"`` (and therefore
-to ``engine="cycle"``) by construction:
+The engine is bit-identical to ``engine="cycle"`` by construction:
 
-* The stepped-cycle sequence is identical: the skip decision uses the
-  same per-station ``next_event_cycle`` contracts, the same
-  cross-station couplings (staged requests the controller can take,
-  egress responses a path can buffer) and the same watchdog /
-  checkpoint caps as :meth:`System._next_event_target`.
+* The clock only jumps over spans in which no station can change
+  state: every cached horizon is in the future, and no cross-station
+  coupling has same-cycle work (staged requests the controller can
+  take, egress responses a path can buffer).  Jumps are capped at the
+  watchdog horizon and checkpoint boundaries, so both fire on the
+  same cycles as under the per-cycle loop.
 * Within a stepped cycle, stations run in exactly the
   :meth:`System.tick` order; a *skipped* station's tick would have
   been a pure no-op (its horizon is in the future and nothing fed it),
@@ -57,15 +53,6 @@ to ``engine="cycle"``) by construction:
 * Any cycle on which the fault injector may act falls back to the full
   :meth:`System.tick` (and marks every station dirty), so fault
   scenarios execute the injection order unchanged.
-
-The min-reduction over the horizon column goes through
-:mod:`repro.sim._kernels`: numpy by default, a ``numba.njit`` loop
-when ``REPRO_NUMBA=1`` and numba is installed (graceful numpy fallback
-when it is not).  For small systems without a jit the engine uses a
-plain Python ``min`` over its scalar mirror of the column — numpy's
-per-call overhead beats its throughput below a few dozen rows — which
-is exact-integer either way, so engine output does not depend on the
-reduction path.
 
 Scheduler contract note: skipping the controller on event-free cycles
 assumes ``Scheduler.tick`` is pure bookkeeping that tolerates not
@@ -77,46 +64,17 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
-from repro.obs.tracer import NULL_TRACER
-from repro.resilience.watchdog import Watchdog
-from repro.sim._kernels import NO_EVENT, get_kernels
-
-KIND_CORE = 0
-KIND_REQ_PATH = 1
-KIND_REQ_LINK = 2
-KIND_CONTROLLER = 3
-KIND_RESP_PATH = 4
-KIND_RESP_LINK = 5
-KIND_INJECTOR = 6
-
-#: One ledger row per station.  ``horizon`` is the cached
-#: ``next_event_cycle`` (``NO_EVENT`` for "none"); ``dirty`` marks rows
-#: whose horizon must be re-polled; ``kind``/``core`` describe the
-#: station for diagnostics and batched per-kind selections.
-STATION_DTYPE = np.dtype(
-    [
-        ("horizon", np.int64),
-        ("dirty", np.bool_),
-        ("kind", np.uint8),
-        ("core", np.int16),
-    ]
-)
-
-# Below this station count a Python ``min`` over the scalar mirror is
-# faster than a numpy reduction (per-call overhead dominates); the
-# compiled kernel wins at any size.
-_VECTOR_MIN_CUTOFF = 32
+#: Cached horizon of a station with no pending event (int64 max).
+NO_EVENT = (1 << 63) - 1
 
 
 class ColumnarEngine:
-    """One ``run()`` window of a :class:`~repro.sim.system.System`.
+    """The stepping state of one :meth:`System.run` window.
 
-    Built fresh per ``System.run(engine="columnar")`` call (systems can
-    be reconfigured between windows, e.g. by the GA), holds no state
-    the System's own snapshot/resume path needs — checkpoints pickle
-    the System exactly as under the other engines.
+    Built fresh per ``run()`` call (systems can be reconfigured between
+    windows, e.g. by the GA) and held only by the run loop, never by
+    the System, so checkpoints pickle the System exactly as under the
+    per-cycle engine.
     """
 
     def __init__(self, system) -> None:
@@ -142,31 +100,7 @@ class ColumnarEngine:
         size = len(stations)
         self._size = size
 
-        ledger = np.zeros(size, dtype=STATION_DTYPE)
-        kinds = (
-            [KIND_CORE] * n
-            + [KIND_REQ_PATH] * n
-            + [KIND_REQ_LINK, KIND_CONTROLLER]
-            + [KIND_RESP_PATH] * n
-            + [KIND_RESP_LINK]
-        )
-        cores_col = (
-            list(range(n)) + list(range(n)) + [-1, -1] + list(range(n)) + [-1]
-        )
-        if self._inj is not None:
-            kinds.append(KIND_INJECTOR)
-            cores_col.append(-1)
-        ledger["kind"] = kinds
-        ledger["core"] = cores_col
-        ledger["horizon"] = NO_EVENT
-        ledger["dirty"] = True
-        self.ledger = ledger
-        self._col = ledger["horizon"]
-
-        # Scalar mirrors of the ledger columns.  The numpy rows stay
-        # authoritative for the batched reductions; the mirrors keep
-        # the per-station scalar reads in the inner loop at list-index
-        # cost instead of numpy-scalar boxing cost.
+        # Cached ``next_event_cycle`` per station and its re-poll flag.
         self._h: List[int] = [NO_EVENT] * size
         self._dirty: List[bool] = [True] * size
         self._next_event = [s.next_event_cycle for s in stations]
@@ -182,11 +116,6 @@ class ColumnarEngine:
         self._path_occ = [0] * n
         self._done = [c.done for c in system.cores]
         self._undone = sum(1 for d in self._done if not d)
-
-        self._kernels = get_kernels()
-        self._vector_min = (
-            self._kernels.jit_active or size >= _VECTOR_MIN_CUTOFF
-        )
 
         # Engine self-profiler (repro.obs.profile).  ``None`` keeps
         # every instrumentation site behind a single falsy local check
@@ -204,52 +133,36 @@ class ColumnarEngine:
             names.append("injector")
         self._station_names = names
 
-    # -- ledger maintenance ---------------------------------------------
+    def all_done(self) -> bool:
+        """Every core has finished its trace."""
+        return not self._undone
 
-    def _refresh_horizons(self, cycle: int) -> None:
-        """Re-poll ``next_event_cycle`` for dirty rows only."""
+    # -- horizon maintenance ---------------------------------------------
+
+    def refresh_horizons(self, cycle: int) -> None:
+        """Re-poll ``next_event_cycle`` for dirty stations only."""
         h = self._h
-        col = self._col
         dirty = self._dirty
         poll = self._next_event
         prof = self._prof
-        if prof is not None:
-            repolled = 0
-            for i in range(self._size):
-                if dirty[i]:
-                    event = poll[i](cycle)
-                    value = NO_EVENT if event is None else event
-                    h[i] = value
-                    col[i] = value
-                    dirty[i] = False
-                    repolled += 1
-            prof.record_horizon_refresh(repolled)
-            return
+        repolled = 0
         for i in range(self._size):
             if dirty[i]:
                 event = poll[i](cycle)
-                value = NO_EVENT if event is None else event
-                h[i] = value
-                col[i] = value
+                h[i] = NO_EVENT if event is None else event
                 dirty[i] = False
+                repolled += 1
+        if prof is not None:
+            prof.record_horizon_refresh(repolled)
 
     def _mark_all_dirty(self) -> None:
         dirty = self._dirty
         for i in range(self._size):
             dirty[i] = True
 
-    def _min_horizon(self) -> int:
-        if self._vector_min:
-            return int(self._kernels.min_horizon(self._col))
-        return min(self._h)
-
-    def runnable_count(self, cycle: int) -> int:
-        """Stations due at ``cycle`` (diagnostic; batched via kernel)."""
-        return self._kernels.runnable_count(self._col, cycle)
-
     # -- stepping --------------------------------------------------------
 
-    def _step(self) -> None:
+    def step(self) -> None:
         """One stepped cycle: run due/fed stations in tick order."""
         sys_ = self.system
         cycle = sys_.current_cycle
@@ -394,10 +307,18 @@ class ColumnarEngine:
             sys_.observability.on_cycle_end(cycle)
         sys_.current_cycle = cycle + 1
 
-    def _next_target(self, limit: int) -> Optional[int]:
-        """Mirror of :meth:`System._next_event_target` on the ledger."""
+    def next_target(self, limit: int) -> Optional[int]:
+        """The cycle the next step must run at, or ``None`` to not skip.
+
+        Call right after :meth:`refresh_horizons`.  A due horizon or a
+        cross-station coupling with same-cycle work pins the clock to
+        per-cycle stepping; otherwise the earliest cached horizon,
+        capped at ``limit``, is the next cycle anything can change.
+        """
         sys_ = self.system
-        cycle = sys_.current_cycle
+        earliest = min(self._h)
+        if earliest <= sys_.current_cycle:
+            return None
         controller = sys_.controller
         if sys_._mc_staging and controller.can_accept():
             return None
@@ -407,91 +328,4 @@ class ColumnarEngine:
                 controller.pending_response_count(i)
             ):
                 return None
-        earliest = self._min_horizon()
-        if earliest <= cycle:
-            return None
         return earliest if earliest < limit else limit
-
-    # -- run loop --------------------------------------------------------
-
-    def run(
-        self,
-        max_cycles: int,
-        stop_when_done: bool = True,
-        watchdog_cycles: int = 200_000,
-    ):
-        """Mirror of :meth:`System.run`'s next-event loop, ledger-driven."""
-        sys_ = self.system
-        res = sys_.resilience
-        checkpoint_every = 0
-        watchdog_dump_path = ""
-        if res is not None:
-            checkpoint_every = res.config.checkpoint_every
-            watchdog_dump_path = res.config.watchdog_dump_path
-            if res.config.watchdog_cycles is not None:
-                watchdog_cycles = res.config.watchdog_cycles
-        watchdog = Watchdog(
-            watchdog_cycles,
-            dump_path=watchdog_dump_path,
-            tracer=(
-                sys_.observability.tracer
-                if sys_.observability is not None
-                else NULL_TRACER
-            ),
-        )
-        watchdog.reset(sys_)
-        obs = sys_.observability
-        if obs is not None and obs.publisher is not None:
-            # Serve mode only — see System.run: the stall margin is
-            # observe-cadence-dependent, hence engine-variant.
-            watchdog.bind_metrics(obs.metrics)
-        prof = self._prof
-        if prof is not None:
-            prof.begin_run("columnar", sys_.current_cycle)
-        try:
-            end = sys_.current_cycle + max_cycles
-            self._refresh_horizons(sys_.current_cycle)
-            while sys_.current_cycle < end:
-                if stop_when_done and not self._undone:
-                    break
-                self._step()
-                if (
-                    checkpoint_every
-                    and sys_.current_cycle % checkpoint_every == 0
-                ):
-                    res.take_checkpoint(sys_)
-                self._refresh_horizons(sys_.current_cycle)
-                skipped = False
-                if sys_.current_cycle < end and not (
-                    stop_when_done and not self._undone
-                ):
-                    target = self._next_target(end)
-                    if watchdog_cycles and target is not None:
-                        target = min(
-                            target, watchdog.horizon(sys_.current_cycle)
-                        )
-                    if checkpoint_every and target is not None:
-                        target = min(
-                            target,
-                            res.next_checkpoint_boundary(sys_.current_cycle),
-                        )
-                    if target is not None and target > sys_.current_cycle:
-                        if prof is not None:
-                            prof.record_skip(target - sys_.current_cycle)
-                        sys_._skip_idle_span(target)
-                        skipped = True
-                        if (
-                            checkpoint_every
-                            and sys_.current_cycle % checkpoint_every == 0
-                        ):
-                            res.take_checkpoint(sys_)
-                if watchdog_cycles and (
-                    skipped or (sys_.current_cycle & 0xFF) == 0
-                ):
-                    watchdog.observe(sys_)
-        finally:
-            if prof is not None:
-                prof.end_run(sys_.current_cycle)
-        if obs is not None:
-            obs.on_run_end(sys_.current_cycle)
-        return sys_.report()

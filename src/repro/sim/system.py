@@ -19,7 +19,6 @@ Shaping is attached per core: ``request_shaping=`` for ReqC,
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
@@ -53,6 +52,7 @@ from repro.obs.hub import Observability, ObservabilityConfig
 from repro.obs.tracer import NULL_TRACER
 from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
 from repro.resilience.watchdog import Watchdog
+from repro.sim.columnar import ColumnarEngine
 from repro.sim.stats import CoreStats, SystemReport
 
 
@@ -199,7 +199,6 @@ class SystemBuilder:
         self._noc_latency = 4
         self._noc_port_capacity = 16
         self._noc_topology = "shared"
-        self._noc_trace_limit: Optional[int] = None
         self._obs_config: Optional[ObservabilityConfig] = None
         self._resilience_config: Optional[ResilienceConfig] = None
         self._queue_capacity = 32
@@ -260,41 +259,21 @@ class SystemBuilder:
         latency: int = 4,
         port_capacity: int = 16,
         topology: str = "shared",
-        trace_limit: Optional[int] = None,
     ) -> "SystemBuilder":
         """Configure the on-chip channels.
 
         ``topology`` is ``"shared"`` (single arbitrated link, the
         default model) or ``"mesh"`` (2D mesh of input-buffered
         routers — position-dependent contention; see
-        :mod:`repro.noc.mesh`).
-
-        ``trace_limit`` bounds each channel's adversary-visible
-        ``grant_trace`` to the most recent N grants (default ``None``
-        keeps the full trace, which the security benchmarks need but
-        grows without bound on long performance runs).
-
-        .. deprecated::
-            ``trace_limit`` moved to the observability layer; prefer
-            ``with_observability(noc_grant_trace_limit=N)``.  The kwarg
-            keeps working as a shim with identical semantics (the
-            observability setting wins when both are given).
+        :mod:`repro.noc.mesh`).  The grant-trace bound is an
+        observability setting:
+        ``with_observability(noc_grant_trace_limit=N)``.
         """
         if topology not in ("shared", "mesh"):
             raise ConfigurationError(f"unknown NoC topology {topology!r}")
-        if trace_limit is not None and trace_limit <= 0:
-            raise ConfigurationError("trace_limit must be positive")
-        if trace_limit is not None:
-            warnings.warn(
-                "with_noc(trace_limit=...) is deprecated; use "
-                "with_observability(noc_grant_trace_limit=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._noc_latency = latency
         self._noc_port_capacity = port_capacity
         self._noc_topology = topology
-        self._noc_trace_limit = trace_limit
         return self
 
     def with_observability(
@@ -453,15 +432,11 @@ class SystemBuilder:
             page_policy=self._page_policy,
             write_queue_policy=self._write_queue_policy,
         )
-        # The legacy with_noc(trace_limit=...) shim feeds the same knob
-        # the observability config now owns; the config wins when both
-        # are set.
-        noc_trace_limit = self._noc_trace_limit
-        if (
-            self._obs_config is not None
-            and self._obs_config.noc_grant_trace_limit is not None
-        ):
-            noc_trace_limit = self._obs_config.noc_grant_trace_limit
+        noc_trace_limit = (
+            self._obs_config.noc_grant_trace_limit
+            if self._obs_config is not None
+            else None
+        )
         if self._noc_topology == "mesh":
             request_link = MeshNetwork(
                 num_cores, direction="to_hub",
@@ -819,63 +794,7 @@ class System:
 
         self.current_cycle = cycle + 1
 
-    # -- next-event engine ---------------------------------------------------
-
-    def _next_event_components(self) -> List:
-        """The stations polled by :meth:`_next_event_target`.
-
-        Built once per ``run()`` window (the wiring is fixed for its
-        duration) instead of on every scan — rebuilding this list each
-        stepped cycle was pure overhead.  Kept as a local of the run
-        loop, not an attribute, so checkpoint pickles are unaffected.
-        """
-        components = [self.request_link, self.response_link, self.controller]
-        components.extend(self.cores)
-        components.extend(self.request_paths)
-        components.extend(self.response_paths)
-        if self._fault_hooks:
-            components.append(self.resilience.injector)
-        return components
-
-    def _next_event_target(
-        self, limit: int, components: Optional[List] = None
-    ) -> Optional[int]:
-        """The cycle the next tick must run at, or ``None`` to not skip.
-
-        Polls every component's ``next_event_cycle`` contract: a return
-        of the current cycle (work possible *now*) or a cross-component
-        coupling with same-cycle work (staged requests the controller
-        can take, egress responses a path can buffer) pins the system
-        to per-cycle stepping.  Otherwise the minimum future event —
-        capped at ``limit`` — is the only cycle anything can change, so
-        the clock may jump there; the skipped span is pure bookkeeping
-        replayed by :meth:`_skip_idle_span`.
-
-        The :class:`~repro.sim.columnar.ColumnarEngine` implements the
-        same decision over a cached horizon ledger, re-polling only
-        stations whose state changed.
-        """
-        cycle = self.current_cycle
-        if self._mc_staging and self.controller.can_accept():
-            return None
-        earliest = limit
-        for core_id in range(self.num_cores):
-            if (
-                self.response_paths[core_id].can_accept()
-                and self.controller.pending_response_count(core_id)
-            ):
-                return None
-        if components is None:
-            components = self._next_event_components()
-        for component in components:
-            event = component.next_event_cycle(cycle)
-            if event is None:
-                continue
-            if event <= cycle:
-                return None
-            if event < earliest:
-                earliest = event
-        return earliest if earliest > cycle else None
+    # -- clock jumps -----------------------------------------------------------
 
     def _skip_idle_span(self, target: int) -> None:
         """Jump the clock to ``target``, replaying skipped bookkeeping."""
@@ -908,7 +827,7 @@ class System:
         max_cycles: int,
         stop_when_done: bool = True,
         watchdog_cycles: int = 200_000,
-        engine: str = "cycle",
+        engine: str = "columnar",
     ) -> SystemReport:
         """Run for up to ``max_cycles`` more cycles; returns a report.
 
@@ -929,40 +848,25 @@ class System:
         makes the loop snapshot the whole system at every multiple of
         N cycles (see docs/resilience.md).
 
-        ``engine`` selects the stepping strategy: ``"cycle"`` (default)
-        ticks every cycle; ``"next_event"`` jumps the clock over spans
-        where every component reports no possible state change (idle
-        cores awaiting fills, shapers between credits and boundaries,
-        DRAM awaiting a timing expiry), producing a bit-identical
-        :class:`~repro.sim.stats.SystemReport` at a fraction of the
-        wall-clock cost on low-intensity workloads; ``"columnar"``
-        additionally keeps per-station horizons in a numpy ledger and
-        ticks only stations that can act each stepped cycle (see
-        :mod:`repro.sim.columnar`), still bit-identical.
+        ``engine`` selects the stepping strategy: ``"columnar"``
+        (default) ticks only the stations that can act each stepped
+        cycle and jumps the clock over spans where no station can
+        change state (see :mod:`repro.sim.columnar`); ``"cycle"``
+        ticks every station every cycle through :meth:`tick`, the
+        reference the columnar engine is tested against.  Both produce
+        a bit-identical :class:`~repro.sim.stats.SystemReport`.
         """
         if max_cycles <= 0:
             raise SimulationError(f"max_cycles must be positive: {max_cycles}")
-        if engine not in ("cycle", "next_event", "columnar"):
+        if engine not in ("columnar", "cycle"):
             raise SimulationError(
-                f"unknown engine {engine!r}: expected 'cycle', "
-                f"'next_event' or 'columnar'"
+                f"unknown engine {engine!r}: expected 'columnar' or 'cycle'"
             )
         obs = self.observability
         # Re-derive the cached hook flag: a serve publisher can be
         # attached between builds and runs (repro serve), after
         # __init__ froze the original value.
         self._obs_cycle_hooks = obs is not None and obs.has_cycle_hooks
-        if engine == "columnar":
-            # Local import: keeps System importable without numpy-using
-            # engine code on the default paths.
-            from repro.sim.columnar import ColumnarEngine
-
-            return ColumnarEngine(self).run(
-                max_cycles,
-                stop_when_done=stop_when_done,
-                watchdog_cycles=watchdog_cycles,
-            )
-        fast = engine == "next_event"
         res = self.resilience
         checkpoint_every = 0
         watchdog_dump_path = ""
@@ -974,11 +878,7 @@ class System:
         watchdog = Watchdog(
             watchdog_cycles,
             dump_path=watchdog_dump_path,
-            tracer=(
-                self.observability.tracer
-                if self.observability is not None
-                else NULL_TRACER
-            ),
+            tracer=obs.tracer if obs is not None else NULL_TRACER,
         )
         watchdog.reset(self)
         if obs is not None and obs.publisher is not None:
@@ -986,56 +886,58 @@ class System:
             # cadence, which differs between engines — keep it out of
             # the registry on the deterministic cross-engine paths.
             watchdog.bind_metrics(obs.metrics)
+        stepper = ColumnarEngine(self) if engine == "columnar" else None
+        if stepper is None:
+            step, all_done = self.tick, self.all_cores_done
+        else:
+            step, all_done = stepper.step, stepper.all_done
         prof = obs.profiler if obs is not None else None
         if prof is not None:
             prof.begin_run(engine, self.current_cycle)
         try:
             end = self.current_cycle + max_cycles
-            ne_components = self._next_event_components() if fast else None
+            if stepper is not None:
+                stepper.refresh_horizons(self.current_cycle)
             while self.current_cycle < end:
-                if stop_when_done and self.all_cores_done():
+                if stop_when_done and all_done():
                     break
-                self.tick()
+                step()
                 if (
                     checkpoint_every
                     and self.current_cycle % checkpoint_every == 0
                 ):
                     res.take_checkpoint(self)
-                skipped = False
-                if (
-                    fast
-                    and self.current_cycle < end
-                    and not (stop_when_done and self.all_cores_done())
-                ):
-                    target = self._next_event_target(end, ne_components)
-                    if watchdog_cycles and target is not None:
-                        # Never jump past the watchdog horizon in one
-                        # step: a frozen (deadlocked) system must still
-                        # trip the progress check, exactly as the
-                        # per-cycle loop would while spinning through
-                        # the same span.
-                        target = min(
-                            target, watchdog.horizon(self.current_cycle)
-                        )
-                    if checkpoint_every and target is not None:
-                        # Land every clock jump exactly on checkpoint
-                        # boundaries — behaviour-preserving by the
-                        # engine's no-state-change guarantee, like the
-                        # horizon cap.
-                        target = min(
-                            target,
-                            res.next_checkpoint_boundary(self.current_cycle),
-                        )
-                    if target is not None and target > self.current_cycle:
-                        if prof is not None:
-                            prof.record_skip(target - self.current_cycle)
-                        self._skip_idle_span(target)
-                        skipped = True
-                        if (
-                            checkpoint_every
-                            and self.current_cycle % checkpoint_every == 0
-                        ):
-                            res.take_checkpoint(self)
+                target = None
+                if stepper is not None:
+                    stepper.refresh_horizons(self.current_cycle)
+                    if self.current_cycle < end and not (
+                        stop_when_done and all_done()
+                    ):
+                        target = stepper.next_target(end)
+                if watchdog_cycles and target is not None:
+                    # Never jump past the watchdog horizon in one step:
+                    # a frozen (deadlocked) system must still trip the
+                    # progress check, exactly as the per-cycle loop
+                    # would while spinning through the same span.
+                    target = min(target, watchdog.horizon(self.current_cycle))
+                if checkpoint_every and target is not None:
+                    # Land every clock jump exactly on checkpoint
+                    # boundaries — behaviour-preserving by the engine's
+                    # no-state-change guarantee, like the horizon cap.
+                    target = min(
+                        target,
+                        res.next_checkpoint_boundary(self.current_cycle),
+                    )
+                skipped = target is not None and target > self.current_cycle
+                if skipped:
+                    if prof is not None:
+                        prof.record_skip(target - self.current_cycle)
+                    self._skip_idle_span(target)
+                    if (
+                        checkpoint_every
+                        and self.current_cycle % checkpoint_every == 0
+                    ):
+                        res.take_checkpoint(self)
                 # Check progress only every 256 cycles to keep the hot
                 # loop cheap (the watchdog granularity does not
                 # matter), plus after every skip, whose span is
@@ -1047,8 +949,8 @@ class System:
         finally:
             if prof is not None:
                 prof.end_run(self.current_cycle)
-        if self.observability is not None:
-            self.observability.on_run_end(self.current_cycle)
+        if obs is not None:
+            obs.on_run_end(self.current_cycle)
         return self.report()
 
     # -- reporting ------------------------------------------------------------------

@@ -165,11 +165,13 @@ class TestObservability:
         assert "memctrl.queue_depth" in out
         assert "shaping monitor" in out
 
-    def test_stats_next_event_engine(self, capsys):
-        assert main(["--scale", "0.2", "stats",
-                     "--engine", "next_event"]) == 0
-        out = capsys.readouterr().out
-        assert "row hit rate" in out
+    def test_stats_cycle_engine(self, capsys):
+        """The per-cycle reference prints what the default engine does."""
+        assert main(["--scale", "0.2", "stats", "--engine", "cycle"]) == 0
+        reference = capsys.readouterr().out
+        assert "row hit rate" in reference
+        assert main(["--scale", "0.2", "stats"]) == 0
+        assert capsys.readouterr().out == reference
 
 
 class TestResilienceCommands:
@@ -281,7 +283,7 @@ class TestObservabilityCommands:
 
     def test_profile_digest_engine_invariant(self, capsys):
         digests = {}
-        for engine in ("cycle", "next_event", "columnar"):
+        for engine in ("cycle", "columnar"):
             assert main([
                 "--scale", "0.1", "profile", "--engine", engine,
             ]) == 0

@@ -97,6 +97,7 @@ def worker_hosts(count, task_modules=(__name__,), **kwargs):
             host.close()
         for thread in threads:
             thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
 
 def addresses(hosts):

@@ -1,17 +1,16 @@
-"""Differential tests: the fast engines are bit-identical.
+"""Differential tests: the columnar engine is bit-identical.
 
-``System.run(..., engine="next_event")`` and
-``System.run(..., engine="columnar")`` must produce *exactly* the
-same :class:`~repro.sim.stats.SystemReport` as the default per-cycle
-loop — every latency, histogram, grant count and fake count.  These
-tests build the same system once per engine and compare the full
-reports via dataclass equality (histograms compare by value).
+``System.run(...)`` on its default ``engine="columnar"`` must produce
+*exactly* the same :class:`~repro.sim.stats.SystemReport` as the
+per-cycle reference loop (``engine="cycle"``) — every latency,
+histogram, grant count and fake count.  These tests build the same
+system once per engine and compare the full reports via dataclass
+equality (histograms compare by value).
 
-Because every assertion here runs all three engines, this file also
-pins the next-event loop's cached station scan (the components list
-built once per ``run`` window) and the columnar engine's dirty-marked
-horizon ledger: a stale cache in either would desynchronise the
-stepping sequence and diverge the reports.
+Because every assertion here runs both engines, this file also pins
+the columnar engine's dirty-marked horizon cache: a stale cached
+horizon would desynchronise the stepping sequence and diverge the
+reports.
 
 The fast cases cover each architectural feature once; the ``slow``
 sweep drives randomized combinations and belongs to the extended
@@ -70,19 +69,20 @@ def _shaped_builder(
 
 
 def _assert_engines_agree(make_builder, cycles=25_000, **run_kwargs):
-    baseline = make_builder().build().run(cycles, **run_kwargs)
-    for engine in ("next_event", "columnar"):
-        fast = make_builder().build().run(cycles, engine=engine,
+    baseline = make_builder().build().run(cycles, engine="cycle",
                                           **run_kwargs)
-        assert baseline == fast, f"engine={engine} diverged"
-        assert baseline.cycles_run == fast.cycles_run
+    fast = make_builder().build().run(cycles, engine="columnar",
+                                      **run_kwargs)
+    assert baseline == fast, "engine=columnar diverged"
+    assert baseline.cycles_run == fast.cycles_run
 
 
 def test_unknown_engine_rejected():
     builder = SystemBuilder(seed=1)
     builder.add_core(make_trace("gcc", 50))
-    with pytest.raises(SimulationError):
-        builder.build().run(1000, engine="event")
+    for engine in ("event", "next_event"):
+        with pytest.raises(SimulationError):
+            builder.build().run(1000, engine=engine)
 
 
 class TestFastCases:
@@ -217,7 +217,7 @@ def _assert_obs_identical(make_builder, cycles=25_000):
     build = _observed_builder(make_builder)
     systems = []
     reports = []
-    for engine in ("cycle", "next_event", "columnar"):
+    for engine in ("cycle", "columnar"):
         system = build().build()
         reports.append(system.run(cycles, engine=engine))
         systems.append(system)
@@ -246,7 +246,7 @@ class TestObservabilityEquivalence:
         _assert_obs_identical(_mesh_builder)
 
     def test_low_intensity_spans_are_filled(self):
-        """Long idle spans (the next-event engine's bread and butter)
+        """Long idle spans (the columnar engine's bread and butter)
         must still yield the same sample-by-sample time-series."""
 
         def build():

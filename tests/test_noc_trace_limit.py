@@ -4,11 +4,9 @@
 benchmarks keep it in full — but on multi-million-cycle performance
 runs an unbounded list exhausts memory.  ``trace_limit`` turns the
 trace into a bounded ring of the most recent grants, wired through
-``SystemBuilder.with_noc`` and defaulting to today's unbounded
-behavior.
+``SystemBuilder.with_observability(noc_grant_trace_limit=...)`` and
+defaulting to the unbounded behavior.
 """
-
-import warnings
 
 import pytest
 
@@ -68,8 +66,6 @@ class TestSharedLinkTraceLimit:
             SharedLink(num_ports=1, trace_limit=limit)
         with pytest.raises(ConfigurationError):
             MeshNetwork(num_ports=2, trace_limit=limit)
-        with pytest.raises(ConfigurationError):
-            SystemBuilder().with_noc(trace_limit=limit)
 
 
 class TestMeshTraceLimit:
@@ -87,10 +83,9 @@ class TestMeshTraceLimit:
 
 class TestBuilderWiring:
     def _system(self, topology, trace_limit):
-        builder = SystemBuilder(seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            builder.with_noc(topology=topology, trace_limit=trace_limit)
+        builder = SystemBuilder(seed=3).with_noc(topology=topology)
+        if trace_limit is not None:
+            builder.with_observability(noc_grant_trace_limit=trace_limit)
         builder.add_core(make_trace("gcc", 200, seed=3))
         return builder.build()
 
@@ -112,45 +107,3 @@ class TestBuilderWiring:
         assert len(system.request_link.grant_trace) == 16
         assert len(system.response_link.grant_trace) <= 16
 
-
-class TestDeprecatedShim:
-    """``with_noc(trace_limit=)`` lives on as a shim over the
-    observability config's ``noc_grant_trace_limit``."""
-
-    def _base(self):
-        builder = SystemBuilder(seed=3)
-        builder.add_core(make_trace("gcc", 200, seed=3))
-        return builder
-
-    def test_with_noc_trace_limit_warns(self):
-        with pytest.warns(DeprecationWarning, match="noc_grant_trace_limit"):
-            self._base().with_noc(trace_limit=8)
-
-    def test_with_noc_without_limit_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            self._base().with_noc(topology="shared")
-
-    def test_shim_equivalent_to_observability_config(self):
-        builder = self._base()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            builder.with_noc(trace_limit=8)
-        via_shim = builder.build()
-        via_obs = (
-            self._base()
-            .with_observability(noc_grant_trace_limit=8)
-            .build()
-        )
-        assert via_shim.request_link.trace_limit == 8
-        assert via_obs.request_link.trace_limit == 8
-        assert via_obs.response_link.trace_limit == 8
-
-    def test_observability_config_wins_over_shim(self):
-        builder = self._base().with_observability(noc_grant_trace_limit=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            builder.with_noc(trace_limit=99)
-        system = builder.build()
-        assert system.request_link.trace_limit == 4
-        assert system.response_link.trace_limit == 4

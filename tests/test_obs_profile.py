@@ -3,7 +3,7 @@
 The profiler may observe everything but perturb nothing: with
 ``profile=True`` the reports, the obs event/sample/monitor streams and
 the ``REPROSNAP`` snapshot bytes must stay bit-identical across the
-``cycle``, ``next_event`` and ``columnar`` engines — and identical to
+``cycle`` and ``columnar`` engines — and identical to
 a profiler-off run.  The unit half pins the accounting algebra
 (closed-form stepped split, span bucketing, idempotent registry
 export, pickle reset).
@@ -23,7 +23,7 @@ from repro.sim.system import (
 from repro.workloads import make_trace
 
 SPEC = BinSpec()
-ENGINES = ("cycle", "next_event", "columnar")
+ENGINES = ("cycle", "columnar")
 
 
 def _builder(profile=True):
@@ -87,7 +87,7 @@ class TestQuarantine:
                 blobs[engine] = path.read_bytes()
         finally:
             transaction.advance_txn_id_watermark(base + 1_000_000)
-        assert blobs["cycle"] == blobs["next_event"] == blobs["columnar"]
+        assert blobs["cycle"] == blobs["columnar"]
 
     def test_registry_untouched_without_export(self):
         system = _builder().build()
@@ -102,7 +102,7 @@ class TestQuarantine:
 class TestAccounting:
     def test_closed_form_stepped_split(self):
         prof = EngineProfiler()
-        prof.begin_run("next_event", 100)
+        prof.begin_run("columnar", 100)
         prof.record_skip(40)
         prof.record_skip(10)
         prof.end_run(200)
