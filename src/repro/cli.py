@@ -249,22 +249,24 @@ def _cmd_sweep(args) -> int:
     )
     from repro.common.util import canonical_doc
     from repro.parallel import SweepExecutor
+    from repro.resilience.retry import DEFAULT_RETRY_POLICY
 
     defaults = _defaults(args)
     dispatch = None
+    retry = DEFAULT_RETRY_POLICY
     if args.hosts:
-        from repro.parallel.dispatch import DispatchCoordinator
+        from repro.parallel.dispatch import (
+            DEFAULT_DISPATCH_RETRY_POLICY,
+            DispatchCoordinator,
+        )
 
         dispatch = DispatchCoordinator(
-            args.hosts,
-            lease_seconds=args.lease_seconds,
-            ledger=args.ledger,
+            args.hosts, lease_seconds=args.lease_seconds
         )
-    elif args.ledger:
-        raise SystemExit("--ledger requires --hosts")
+        retry = DEFAULT_DISPATCH_RETRY_POLICY
     executor = SweepExecutor(
         jobs=args.jobs, seed=defaults.seed, cache=args.cache_dir,
-        dispatch=dispatch,
+        retry=retry, dispatch=dispatch, ledger=args.ledger,
     )
     server = None
     if args.serve:
@@ -384,7 +386,6 @@ def _cmd_dispatch(args) -> int:
         worker = WorkerHost(
             host=args.host,
             port=args.port,
-            jobs=args.jobs,
             task_modules=tuple(
                 m.strip() for m in args.task_modules.split(",") if m.strip()
             ),
@@ -920,7 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repro dispatch worker) instead of the "
                         "local pool")
     p.add_argument("--ledger", default=None, metavar="PATH",
-                   help="persistent dispatch ledger (requires --hosts)")
+                   help="persistent shard ledger: every state change "
+                        "of every shard, local or remote")
     p.add_argument("--lease-seconds", type=float, default=30.0,
                    help="per-shard lease deadline for --hosts")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -938,8 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address")
     p.add_argument("--port", type=int, default=0,
                    help="bind port (0 = ephemeral, printed at startup)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes in this host's warm pool")
     p.add_argument("--task-modules", default="repro.parallel.tasks",
                    metavar="MODS",
                    help="comma-separated task-function module allowlist")

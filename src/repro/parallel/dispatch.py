@@ -1,45 +1,38 @@
 """Fault-tolerant multi-host sweep dispatch.
 
-:class:`DispatchCoordinator` fans a :class:`~repro.parallel.executor.
-SweepExecutor`'s shards out to remote worker hosts
-(:mod:`repro.parallel.worker`) over the digest-verified frame protocol
-(:mod:`repro.parallel.protocol`), and owns every robustness decision
-in between:
+:class:`DispatchCoordinator` gives a :class:`~repro.parallel.executor.
+SweepExecutor` one *remote slot* per live worker host
+(:mod:`repro.parallel.worker`), speaking the digest-verified frame
+protocol (:mod:`repro.parallel.protocol`).  The executor's shard loop
+owns the queue, the attempt budget, backoff, timeouts and the ledger
+for every backend; the coordinator owns only what is remote:
 
-* **leases** — each dispatched shard carries a lease id; the
-  coordinator's wait for the next frame is bounded by
-  ``lease_seconds``, and the worker's heartbeats (sent while its pool
-  executes) renew that wait.  Silence past the deadline is a
-  :class:`~repro.common.errors.LeaseExpiredError`: the host is
-  presumed wedged or partitioned.
-* **liveness + re-dispatch** — a lost host (connect failure, reset,
-  EOF), an expired lease, or a corrupt frame retires that host for
-  the rest of the run and requeues its shard for a surviving host,
-  after an exponential-backoff delay computed by the *same*
-  :class:`~repro.resilience.retry.RetryPolicy` the local executor
-  uses (satisfying the one-resilience-vocabulary rule).  Task-raised
-  exceptions are different: they travel in-band, consume the policy's
-  ``max_attempts`` budget, and end in the same typed
-  :class:`~repro.common.errors.WorkerFailureError` a local run would
-  raise.
-* **graceful degradation** — when every host is retired, whatever is
-  still unresolved drains through a caller-supplied local runner (the
-  executor's own inline/pooled path), flagged via the
-  ``dispatch.degraded`` event and gauge; the sweep *completes*, it
-  never silently loses shards.
-* **ledger** — every transition is recorded in a
-  :class:`~repro.parallel.ledger.DispatchLedger` (atomic rewrites),
-  so an interrupted sweep leaves an honest on-disk account and the
-  re-run serves completed shards from the result cache.
+* **connect + handshake** — every host is connected (and its
+  ``code_version`` checked) when a sweep begins; a host that fails is
+  retired before any shard reaches it.
+* **leases** — each dispatched shard carries a lease id; the wait for
+  the next frame is bounded by ``lease_seconds``, and the worker's
+  heartbeats (sent while it executes) renew that wait.  Silence past
+  the deadline is a :class:`~repro.common.errors.LeaseExpiredError`:
+  the host is presumed wedged or partitioned.
+* **host retirement** — a lost host (reset, EOF), an expired lease, or
+  a corrupt frame retires that host for the rest of the run; the shard
+  loop requeues its shard without charging an attempt.  A task that
+  raises on the host comes back in-band and is charged like a local
+  failure.
+* **degraded mode** — when no live host is left, the shard loop runs
+  the rest on its local slots; :meth:`DispatchCoordinator.degrade`
+  flags that through the ``dispatch.degraded`` event and gauge.  The
+  sweep *completes*; it never silently loses shards.
 
-Determinism: the coordinator owns *placement and recovery*, never
-*results*.  Shard payloads, seeds and the submission-order merge are
-all fixed by the executor before dispatch begins, so which host runs
-a shard — or whether it ran twice, or locally — is unobservable in
-the merged output.  The coordinator's own ``dispatch.*`` metrics live
-in a **separate registry** from the executor's merged sweep registry
-for the same reason: host counts and re-dispatches are run-dependent
-and must not leak into the byte-identical exposition.
+Determinism: the coordinator owns *placement*, never *results*.
+Shard payloads, seeds and the submission-order merge are all fixed by
+the executor, so which host runs a shard — or whether it ran twice,
+or locally — is unobservable in the merged output.  The coordinator's
+own ``dispatch.*`` metrics live in a **separate registry** from the
+executor's merged sweep registry for the same reason: host counts and
+re-dispatches are run-dependent and must not leak into the
+byte-identical exposition.
 
 The :class:`ChaosProxy` makes the failure paths testable the way the
 resilience layer's :class:`~repro.resilience.faults.FaultInjector`
@@ -50,11 +43,11 @@ coordinator's transport boundary.
 
 from __future__ import annotations
 
+import concurrent.futures
 import socket
 import threading
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.common.errors import (
@@ -63,16 +56,13 @@ from repro.common.errors import (
     HostLostError,
     LeaseExpiredError,
     ShardTransportError,
-    WorkerFailureError,
 )
-from repro.common.rng import DeterministicRng
 from repro.obs import diag
 from repro.obs.events import CATEGORY_DISPATCH
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.ledger import DispatchLedger
 from repro.parallel.protocol import FrameChannel, hello_payload
 from repro.parallel.worker import task_spec
-from repro.resilience.retry import RetryPolicy, _default_sleep
+from repro.resilience.retry import RetryPolicy
 
 #: Dispatch default: three tries per shard, exponential backoff between
 #: re-dispatches starting at 100 ms, capped at 2 s.
@@ -186,31 +176,39 @@ class ChaosProxy:
                 )
         self.specs = tuple(specs)
         self.log: List[Dict[str, Any]] = []
-        self._fired: set = set()
+        # Receives each spec still acts on: a SlowHost injects its
+        # heartbeats first, then fires on the real result.
+        self._left = [
+            spec.heartbeats + 1 if isinstance(spec, SlowHost) else 1
+            for spec in self.specs
+        ]
         self._lock = threading.Lock()
 
-    def _fire(self, position: int, spec: Any, host: str, shard: int) -> None:
-        self.log.append(
-            {
-                "spec": type(spec).__name__,
-                "shard": shard,
-                "host": host,
-            }
-        )
-        self._fired.add(position)
+    def _take(self, kinds: Any, host: str, shard: int) -> Tuple[Any, int]:
+        """Consume one action of the first live spec of ``kinds`` aimed
+        at ``shard``; ``(spec, actions left)``, or ``(None, 0)``."""
+        with self._lock:
+            for position, spec in enumerate(self.specs):
+                if (
+                    isinstance(spec, kinds)
+                    and spec.shard_index == shard
+                    and self._left[position]
+                ):
+                    self._left[position] -= 1
+                    left = self._left[position]
+                    if not left:
+                        self.log.append({"spec": type(spec).__name__,
+                                         "shard": shard, "host": host})
+                    return spec, left
+        return None, 0
 
     def before_send(self, host: str, shard: int) -> None:
         """Hook before a shard frame is sent; may raise."""
-        with self._lock:
-            for position, spec in enumerate(self.specs):
-                if position in self._fired:
-                    continue
-                if isinstance(spec, HostCrash) and spec.shard_index == shard:
-                    self._fire(position, spec, host, shard)
-                    raise HostLostError(
-                        "chaos: host crashed taking shard "
-                        f"{shard}", host=host, shard=shard,
-                    )
+        if self._take(HostCrash, host, shard)[0] is not None:
+            raise HostLostError(
+                f"chaos: host crashed taking shard {shard}",
+                host=host, shard=shard,
+            )
 
     def recv(
         self,
@@ -220,120 +218,86 @@ class ChaosProxy:
         real_recv: Callable[[], Tuple[str, Any]],
     ) -> Tuple[str, Any]:
         """Hook around one frame receive; may raise or inject."""
-        with self._lock:
-            for position, spec in enumerate(self.specs):
-                if position in self._fired:
-                    continue
-                if not isinstance(
-                    spec, (LinkStall, FrameCorruption, SlowHost)
-                ) or spec.shard_index != shard:
-                    continue
-                if isinstance(spec, LinkStall):
-                    self._fire(position, spec, host, shard)
-                    raise socket.timeout(
-                        f"chaos: link stalled on shard {shard}"
-                    )
-                if isinstance(spec, FrameCorruption):
-                    self._fire(position, spec, host, shard)
-                    raise ShardTransportError(
-                        f"chaos: frame digest mismatch on shard {shard}",
-                        host=host, shard=shard,
-                    )
-                if isinstance(spec, SlowHost):
-                    remaining = self._slow_remaining(position, spec)
-                    if remaining > 0:
-                        self._slow_consume(position)
-                        return (
-                            "heartbeat",
-                            {
-                                "shard": shard,
-                                "lease": lease,
-                                "seq": spec.heartbeats - remaining + 1,
-                                "synthetic": True,
-                            },
-                        )
-                    self._fire(position, spec, host, shard)
+        spec, left = self._take(
+            (LinkStall, FrameCorruption, SlowHost), host, shard
+        )
+        if isinstance(spec, LinkStall):
+            raise socket.timeout(f"chaos: link stalled on shard {shard}")
+        if isinstance(spec, FrameCorruption):
+            raise ShardTransportError(
+                f"chaos: frame digest mismatch on shard {shard}",
+                host=host, shard=shard,
+            )
+        if isinstance(spec, SlowHost) and left:
+            return "heartbeat", {
+                "shard": shard,
+                "lease": lease,
+                "seq": spec.heartbeats - left + 1,
+                "synthetic": True,
+            }
         return real_recv()
-
-    # SlowHost needs per-spec countdown state; keep it out of the
-    # frozen spec itself.
-    def _slow_remaining(self, position: int, spec: SlowHost) -> int:
-        if not hasattr(self, "_slow_state"):
-            self._slow_state: Dict[int, int] = {}
-        return self._slow_state.setdefault(position, spec.heartbeats)
-
-    def _slow_consume(self, position: int) -> None:
-        self._slow_state[position] -= 1
 
 
 # -- coordinator ------------------------------------------------------
 
 
 @dataclass
-class _HostState:
-    """Coordinator-side view of one worker host."""
+class _HostSlot:
+    """One worker host, as a slot of the executor's shard loop."""
 
-    index: int
+    coordinator: "DispatchCoordinator" = field(repr=False)
     address: Tuple[str, int]
     channel: Optional[FrameChannel] = None
     alive: bool = True
-    shards_completed: int = 0
+
+    local = False
 
     @property
     def name(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
 
+    def submit(self, fn: Callable[..., Any], shards: List[Any]) -> Any:
+        """Run one shard on this host; a future of its outcome."""
+        [shard] = shards
+        assert self.coordinator._threads is not None
+        return self.coordinator._threads.submit(
+            self.coordinator._execute_on_host, self, task_spec(fn), shard
+        )
 
-@dataclass
-class _PendingShard:
-    """One shard's dispatch bookkeeping (distinct from the executor's
-    submission bookkeeping, which never changes here)."""
+    def retire(self, error: BaseException) -> None:
+        self.coordinator._retire_host(self, error)
 
-    shard: Any  # executor _Shard: .index .payload .label .task_seed .digest
-    task_failures: int = 0
-    redispatches: int = 0
-
-    @property
-    def attempts(self) -> int:
-        return self.task_failures + self.redispatches
-
-
-class _TaskFailed(Exception):
-    """Internal: the remote task raised (in-band ok=False result)."""
+    def abandon(self) -> None:
+        """The shard overran its attempt: stop trusting this host."""
+        self.retire(TimeoutError("per-attempt timeout"))
 
 
 class DispatchCoordinator:
-    """Fans shards out to worker hosts; survives the hosts not
-    surviving.
+    """Remote slots for a :class:`SweepExecutor`; survives the hosts
+    not surviving.
 
     Parameters
     ----------
     hosts:
         ``(host, port)`` pairs, or a ``"h:p,h:p"`` spec string.
-    retry:
-        Shared :class:`RetryPolicy`: ``max_attempts`` bounds in-band
-        task failures per shard, the backoff fields pace re-dispatch.
     lease_seconds:
         Frame-wait deadline per dispatched shard (renewed by
         heartbeats).
-    ledger:
-        Path, :class:`DispatchLedger`, or ``None`` (in-memory ledger).
     chaos:
         Optional :class:`ChaosProxy`.
-    sleep, rng:
-        Injectable backoff primitives (tests pass recorders); the
-        defaults are the real ``time.sleep`` and midpoint jitter.
+    connect_timeout:
+        TCP connect and handshake budget per host.
+
+    The retry policy, backoff sleep and ledger belong to the executor
+    (``SweepExecutor(retry=, sleep=, ledger=)``): one policy per run,
+    whatever the placement.
     """
 
     def __init__(
         self,
         hosts: Any,
-        retry: RetryPolicy = DEFAULT_DISPATCH_RETRY_POLICY,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        ledger: Any = None,
         chaos: Optional[ChaosProxy] = None,
-        sleep: Callable[[float], None] = _default_sleep,
-        rng: Optional[DeterministicRng] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ) -> None:
         if isinstance(hosts, str):
@@ -342,21 +306,13 @@ class DispatchCoordinator:
             raise ConfigurationError("dispatch needs at least one host")
         if lease_seconds <= 0:
             raise ConfigurationError("lease_seconds must be positive")
-        self.retry = retry
         self.lease_seconds = lease_seconds
         self.connect_timeout = connect_timeout
         self.chaos = chaos
-        self._sleep = sleep
-        self._rng = rng
-        if isinstance(ledger, str):
-            ledger = DispatchLedger(ledger)
-        self.ledger: DispatchLedger = (
-            ledger if ledger is not None else DispatchLedger(None)
-        )
-        self._hosts = [
-            _HostState(index=i, address=tuple(addr))
-            for i, addr in enumerate(hosts)
-        ]
+        self._hosts = [_HostSlot(self, tuple(addr)) for addr in hosts]
+        # Host threads of the current sweep (see begin/end).
+        self._threads: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        self._lock = threading.Lock()
         self.degraded = False
         self.registry = MetricsRegistry()
         self.registry.gauge("dispatch.hosts_configured").set(len(self._hosts))
@@ -378,23 +334,68 @@ class DispatchCoordinator:
             "dispatch.local_fallback_shards",
         ):
             self.registry.counter(family)
-        self._cond = threading.Condition()
-        self._queue: Deque[_PendingShard] = deque()
-        self._results: Dict[int, Any] = {}
-        self._unresolved: set = set()
-        self._failure: Optional[BaseException] = None
 
-    # -- events / counters (callers hold no lock; diag is append-only,
-    # -- counters are plain int adds guarded by self._cond where racy) --
+    # -- events / counters --------------------------------------------
 
     def _emit(self, name: str, shard: int = -1, **args: Any) -> None:
         diag.emit_diagnostic(
             name, category=CATEGORY_DISPATCH, shard=shard, **args
         )
 
+    def _count(self, family: str, amount: int = 1) -> None:
+        # Host threads and the shard loop both count.
+        with self._lock:
+            self.registry.counter(family).inc(amount)
+
+    # -- the shard loop's view ----------------------------------------
+
+    @property
+    def host_names(self) -> List[str]:
+        return [state.name for state in self._hosts]
+
+    def slots(self) -> List[_HostSlot]:
+        """The live hosts, one slot each."""
+        return [state for state in self._hosts if state.alive]
+
+    def begin(self, kind: str, shards: int, cached: int) -> None:
+        """Connect every live host (concurrently) before a sweep."""
+        live = self.slots()
+        self._threads = concurrent.futures.ThreadPoolExecutor(
+            max_workers=len(self._hosts), thread_name_prefix="dispatch"
+        )
+        connects = [self._threads.submit(self._connect, s) for s in live]
+        for state, future in zip(live, connects):
+            try:
+                future.result()
+            except DispatchError as exc:
+                self._retire_host(state, exc)
+        self.registry.gauge("dispatch.hosts_alive").set(len(self.slots()))
+        self._count("dispatch.cached_shards", cached)
+        self._emit(
+            "dispatch.sweep_begin", kind=kind, shards=shards,
+            cached=cached, hosts=len(self._hosts),
+        )
+
+    def degrade(self, shards: int) -> None:
+        """No live host is left: ``shards`` will run locally."""
+        self.degraded = True
+        self.registry.gauge("dispatch.degraded").set(1)
+        self._count("dispatch.local_fallback_shards", shards)
+        self._emit(
+            "dispatch.degraded", shards=shards, reason="all hosts retired",
+        )
+
+    def end(self, shards: int) -> None:
+        """Wait for in-flight host threads, then close the sweep."""
+        assert self._threads is not None
+        self._threads.shutdown(wait=True)
+        self._emit(
+            "dispatch.sweep_done", shards=shards, degraded=self.degraded,
+        )
+
     # -- connection management ----------------------------------------
 
-    def _connect(self, state: _HostState) -> None:
+    def _connect(self, state: _HostSlot) -> None:
         """Connect + handshake one host; raises DispatchError flavours."""
         if state.channel is not None:
             return
@@ -440,15 +441,16 @@ class DispatchCoordinator:
         state.channel = channel
         self._emit("dispatch.host_up", host=state.name)
 
-    def _retire_host(self, state: _HostState, error: BaseException) -> None:
-        with self._cond:
-            if not state.alive:
-                return
-            state.alive = False
-            alive = sum(1 for h in self._hosts if h.alive)
-            self.registry.gauge("dispatch.hosts_alive").set(alive)
-            self.registry.counter("dispatch.hosts_retired").inc()
-            self._cond.notify_all()
+    def _retire_host(self, state: _HostSlot, error: BaseException) -> None:
+        if not state.alive:
+            return
+        state.alive = False
+        if isinstance(error, LeaseExpiredError):
+            self._count("dispatch.lease_expiries")
+        elif isinstance(error, ShardTransportError):
+            self._count("dispatch.transport_errors")
+        self._count("dispatch.hosts_retired")
+        self.registry.gauge("dispatch.hosts_alive").set(len(self.slots()))
         if state.channel is not None:
             state.channel.close()
             state.channel = None
@@ -464,210 +466,19 @@ class DispatchCoordinator:
                 state.channel.close()
                 state.channel = None
 
-    def shutdown_workers(self) -> None:
-        """Ask every reachable worker *process* to exit, then close."""
-        for state in self._hosts:
-            try:
-                self._connect(state)
-            except DispatchError:
-                continue
-            try:
-                state.channel.send("shutdown", {"stop_server": True})
-            except DispatchError:
-                pass  # already gone — the goal state anyway
-        self.close()
-
-    # -- the run ------------------------------------------------------
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        shards: Sequence[Any],
-        kind: str = "",
-        cached_shards: Sequence[Any] = (),
-        local_runner: Optional[
-            Callable[[List[Any]], Dict[int, Any]]
-        ] = None,
-    ) -> Dict[int, Any]:
-        """Execute ``shards`` across the hosts; returns index->result.
-
-        ``cached_shards`` are recorded in the ledger (state
-        ``cached``) but never dispatched — the executor already served
-        them from the result cache.  ``local_runner`` is the
-        degradation path: called with every shard still unresolved
-        after all hosts are gone.
-        """
-        spec = task_spec(fn)
-        self.ledger.begin(
-            kind or spec,
-            [h.name for h in self._hosts],
-            len(shards) + len(cached_shards),
-        )
-        for shard in cached_shards:
-            self.registry.counter("dispatch.cached_shards").inc()
-            self.ledger.record(
-                shard.index, "cached", label=shard.label,
-                digest=getattr(shard, "digest", None) or "",
-            )
-        self._queue = deque(_PendingShard(shard) for shard in shards)
-        self._results = {}
-        self._unresolved = {shard.index for shard in shards}
-        self._failure = None
-        for shard in shards:
-            self.ledger.record(shard.index, "queued", label=shard.label)
-        self._emit(
-            "dispatch.sweep_begin", kind=kind or spec,
-            shards=len(shards), cached=len(cached_shards),
-            hosts=len(self._hosts),
-        )
-
-        threads = []
-        for state in self._hosts:
-            if not state.alive:
-                continue
-            thread = threading.Thread(
-                target=self._host_loop, args=(state, spec),
-                name=f"dispatch-{state.name}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-
-        if self._failure is not None:
-            raise self._failure
-
-        leftovers = self._drain_leftovers()
-        if leftovers:
-            self._run_degraded(leftovers, local_runner)
-
-        self._emit(
-            "dispatch.sweep_done", shards=len(shards),
-            degraded=self.degraded,
-        )
-        return dict(self._results)
-
-    def _drain_leftovers(self) -> List[_PendingShard]:
-        with self._cond:
-            leftovers = sorted(self._queue, key=lambda p: p.shard.index)
-            self._queue.clear()
-            missing = self._unresolved - {
-                p.shard.index for p in leftovers
-            }
-            if missing:
-                raise DispatchError(
-                    f"shards {sorted(missing)} neither completed nor "
-                    "requeued — coordinator bookkeeping bug"
-                )
-            return leftovers
-
-    def _run_degraded(
-        self,
-        leftovers: List[_PendingShard],
-        local_runner: Optional[Callable[[List[Any]], Dict[int, Any]]],
-    ) -> None:
-        self.degraded = True
-        self.registry.gauge("dispatch.degraded").set(1)
-        self.registry.counter("dispatch.local_fallback_shards").inc(
-            len(leftovers)
-        )
-        self.ledger.set_degraded(True)
-        self._emit(
-            "dispatch.degraded", shards=len(leftovers),
-            reason="all hosts retired",
-        )
-        if local_runner is None:
-            raise DispatchError(
-                f"all {len(self._hosts)} host(s) retired with "
-                f"{len(leftovers)} shard(s) unresolved and no local "
-                "runner to degrade to"
-            )
-        local_results = local_runner([p.shard for p in leftovers])
-        for pending in leftovers:
-            index = pending.shard.index
-            if index not in local_results:
-                raise DispatchError(
-                    f"local drain did not produce shard {index}"
-                )
-            self._results[index] = local_results[index]
-            self._unresolved.discard(index)
-            self.ledger.record(
-                index, "local", label=pending.shard.label,
-                attempts=pending.attempts + 1,
-            )
-
-    # -- per-host worker thread ---------------------------------------
-
-    def _host_loop(self, state: _HostState, spec: str) -> None:
-        try:
-            self._connect(state)
-        except DispatchError as exc:
-            self._retire_host(state, exc)
-            return
-        with self._cond:
-            alive = sum(1 for h in self._hosts if h.alive)
-            self.registry.gauge("dispatch.hosts_alive").set(alive)
-        while True:
-            with self._cond:
-                while (
-                    not self._queue
-                    and self._unresolved
-                    and self._failure is None
-                    and state.alive
-                ):
-                    self._cond.wait(timeout=0.05)
-                if (
-                    self._failure is not None
-                    or not self._unresolved
-                    or not state.alive
-                ):
-                    return
-                if not self._queue:
-                    continue
-                pending = self._queue.popleft()
-            try:
-                value = self._execute_on_host(state, spec, pending)
-            except _TaskFailed as exc:
-                self._handle_task_failure(state, pending, exc)
-                continue
-            except (
-                LeaseExpiredError, ShardTransportError, HostLostError,
-            ) as exc:
-                self._handle_transport_failure(state, pending, exc)
-                return
-            except Exception as exc:  # defensive: never strand a shard
-                with self._cond:
-                    self._queue.append(pending)
-                    if self._failure is None:
-                        self._failure = exc
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._results[pending.shard.index] = value
-                self._unresolved.discard(pending.shard.index)
-                state.shards_completed += 1
-                self.registry.counter("dispatch.shards_completed").inc()
-                self._cond.notify_all()
-            self.ledger.record(
-                pending.shard.index, "completed",
-                label=pending.shard.label, host=state.name,
-                attempts=pending.attempts + 1,
-                digest=getattr(pending.shard, "digest", None) or "",
-            )
-            self._emit(
-                "dispatch.shard_done", shard=pending.shard.index,
-                host=state.name, attempts=pending.attempts + 1,
-            )
+    # -- one shard on one host (runs on a host thread) ----------------
 
     def _execute_on_host(
-        self, state: _HostState, spec: str, pending: _PendingShard
-    ) -> Any:
-        shard = pending.shard
-        lease = f"{shard.index}:{pending.attempts + 1}"
+        self, state: _HostSlot, spec: str, shard: Any
+    ) -> List[Tuple[bool, Any]]:
+        """Send ``shard`` (an executor ``_Shard``) and wait for its
+        result frame; a task error comes back in-band as a string."""
+        lease = f"{shard.index}:{shard.handoffs}"
         if self.chaos is not None:
             self.chaos.before_send(state.name, shard.index)
-        assert state.channel is not None
-        state.channel.send(
+        channel = state.channel
+        assert channel is not None
+        channel.send(
             "shard",
             {
                 "shard": shard.index,
@@ -678,20 +489,16 @@ class DispatchCoordinator:
                 "label": shard.label,
             },
         )
-        with self._cond:
-            self.registry.counter("dispatch.shards_dispatched").inc()
-        self.ledger.record(
-            shard.index, "leased", label=shard.label, host=state.name,
-            attempts=pending.attempts + 1,
-        )
+        self._count("dispatch.shards_dispatched")
+        if shard.handoffs > 1:
+            self._count("dispatch.redispatches")
         self._emit(
             "dispatch.shard_leased", shard=shard.index, host=state.name,
             lease=lease,
         )
 
         def real_recv() -> Tuple[str, Any]:
-            assert state.channel is not None
-            return state.channel.recv(timeout=self.lease_seconds)
+            return channel.recv(timeout=self.lease_seconds)
 
         while True:
             try:
@@ -724,8 +531,7 @@ class DispatchCoordinator:
                 )
                 continue
             if kind == "heartbeat":
-                with self._cond:
-                    self.registry.counter("dispatch.heartbeats").inc()
+                self._count("dispatch.heartbeats")
                 self._emit(
                     "dispatch.heartbeat", shard=shard.index,
                     host=state.name, seq=payload.get("seq", 0),
@@ -733,80 +539,21 @@ class DispatchCoordinator:
                 continue
             if kind == "result":
                 if payload.get("ok"):
-                    return payload.get("value")
-                raise _TaskFailed(payload.get("error", "unknown error"))
+                    self._count("dispatch.shards_completed")
+                    self._emit(
+                        "dispatch.shard_done", shard=shard.index,
+                        host=state.name, attempts=shard.handoffs,
+                    )
+                    return [(True, payload.get("value"))]
+                error = payload.get("error", "unknown error")
+                self._count("dispatch.task_failures")
+                self._emit(
+                    "dispatch.shard_task_failed", shard=shard.index,
+                    host=state.name, attempts=shard.handoffs, error=error,
+                )
+                return [(False, error)]
             raise ShardTransportError(
                 f"unexpected {kind!r} frame from {state.name} while "
                 f"waiting on lease {lease}",
                 host=state.name, shard=shard.index,
             )
-
-    # -- failure handling ---------------------------------------------
-
-    def _handle_task_failure(
-        self, state: _HostState, pending: _PendingShard, exc: _TaskFailed
-    ) -> None:
-        """The task itself raised on the worker: budget it like the
-        local executor budgets attempts."""
-        pending.task_failures += 1
-        with self._cond:
-            self.registry.counter("dispatch.task_failures").inc()
-        self._emit(
-            "dispatch.shard_task_failed", shard=pending.shard.index,
-            host=state.name, attempts=pending.attempts,
-            error=str(exc),
-        )
-        if pending.task_failures >= self.retry.max_attempts:
-            failure = WorkerFailureError(
-                f"task {pending.shard.label} failed after "
-                f"{pending.task_failures} attempt(s): {exc}",
-                task_index=pending.shard.index,
-                label=pending.shard.label,
-                attempts=pending.task_failures,
-                last_error=str(exc),
-            )
-            self.ledger.record(
-                pending.shard.index, "failed", label=pending.shard.label,
-                attempts=pending.attempts, detail=str(exc),
-            )
-            with self._cond:
-                if self._failure is None:
-                    self._failure = failure
-                self._cond.notify_all()
-            return
-        self._requeue(pending, f"task failure: {exc}")
-
-    def _handle_transport_failure(
-        self, state: _HostState, pending: _PendingShard, exc: BaseException
-    ) -> None:
-        """The *transport* failed: retire the host, requeue the shard
-        (transport loss does not consume the task's attempt budget —
-        the task never got a chance to be wrong)."""
-        with self._cond:
-            if isinstance(exc, LeaseExpiredError):
-                self.registry.counter("dispatch.lease_expiries").inc()
-            elif isinstance(exc, ShardTransportError):
-                self.registry.counter("dispatch.transport_errors").inc()
-        self._retire_host(state, exc)
-        pending.redispatches += 1
-        self._requeue(pending, f"{type(exc).__name__}: {exc}")
-
-    def _requeue(self, pending: _PendingShard, reason: str) -> None:
-        delay = self.retry.backoff_delay(
-            max(1, pending.attempts), rng=self._rng
-        )
-        if delay > 0.0:
-            self._sleep(delay)
-        with self._cond:
-            self.registry.counter("dispatch.redispatches").inc()
-            self._queue.append(pending)
-            self._cond.notify_all()
-        self.ledger.record(
-            pending.shard.index, "requeued", label=pending.shard.label,
-            attempts=pending.attempts,
-        )
-        self._emit(
-            "dispatch.shard_requeued", shard=pending.shard.index,
-            attempts=pending.attempts, reason=reason,
-            backoff_seconds=delay,
-        )

@@ -1,28 +1,41 @@
 """Deterministic fan-out of independent simulation points.
 
 :class:`SweepExecutor` runs a list of tasks — module-level functions
-applied to picklable payloads — either inline (``jobs=1``) or across
-worker processes (``jobs>1``, ``spawn`` start method), and merges the
-results **in submission order**.  Combined with the facts that every
-task is a pure function of its payload and that per-task RNG
-substreams are derived from the submission index alone
+applied to picklable payloads — and merges the results **in submission
+order**.  Combined with the facts that every task is a pure function
+of its payload and that per-task RNG substreams are derived from the
+submission index alone
 (:meth:`~repro.common.rng.DeterministicRng.substream`), the merged
-output is bit-identical for every ``jobs`` value: parallelism is an
-execution detail, never an observable one.  docs/parallel.md states
-the full determinism contract.
+output is bit-identical for every ``jobs`` value and every placement:
+parallelism is an execution detail, never an observable one.
+docs/parallel.md states the full determinism contract.
 
-Layered on top:
+One shard loop
+--------------
+Every shard that misses the result cache goes through one loop
+(:meth:`SweepExecutor._run`), whatever runs it.  The loop owns the
+pending queue, the attempt budget, the backoff between attempts, the
+per-attempt timeout, the ``parallel.task_done`` / ``task_retry``
+events and a :class:`~repro.parallel.ledger.DispatchLedger` record
+for every state change.  It hands work to *slots*, each of which
+returns a :class:`concurrent.futures.Future` of per-shard
+``(ok, value)`` outcomes:
 
-* a content-addressed result cache (:mod:`repro.parallel.cache`) —
-  tasks whose input digest already has a stored result are not run at
-  all, which turns a repeated sweep into pure file reads;
-* worker-failure retry and per-attempt timeouts via
-  :class:`repro.resilience.retry.RetryPolicy` — a worker process dying
-  (OOM killer, BrokenProcessPool) re-runs only the affected shards;
-* per-shard progress events through :mod:`repro.obs` — lifecycle
-  events land in the process-global diagnostics ring
-  (:mod:`repro.obs.diag`) and, when a tracer is attached, in that
-  tracer under :data:`~repro.obs.events.CATEGORY_PARALLEL`.
+* one inline slot when ``jobs == 1`` (the reference ordering);
+* ``jobs`` slots on the warm ``spawn`` pool when ``jobs > 1``;
+* one slot per live remote host when a
+  :class:`~repro.parallel.dispatch.DispatchCoordinator` is attached.
+  Local slots take over only once no live host is left (degraded
+  mode).
+
+Attempt rules, identical on every backend: an in-band task exception,
+a per-attempt timeout, or a local pool breaking while it holds the
+shard each consume one attempt of ``RetryPolicy.max_attempts`` and
+count as a retry while budget remains; the last failure raises
+:class:`~repro.common.errors.WorkerFailureError` — or
+:class:`~repro.common.errors.ShardTimeoutError` when every attempt
+timed out.  Losing a remote host consumes no attempt: the host is
+retired and the shard requeued.
 
 The ``spawn`` start method is deliberate: it is the only start method
 available everywhere, and it guarantees workers build their state from
@@ -32,11 +45,8 @@ smuggle in mutated globals and break the jobs-invariance contract.
 Pool reuse and chunking
 -----------------------
 ``spawn`` pays a real price: each worker is a fresh interpreter that
-re-imports the simulator stack before it can run its first task.  The
-original executor built a brand-new pool per :meth:`SweepExecutor.map`
-call and shipped one future per task, so short sweeps spent more time
-spawning and pickling than simulating (BENCH_parallel.json recorded a
-0.75x *slowdown* at ``jobs=4``).  Two fixes, neither observable in the
+re-imports the simulator stack before it can run its first task.  Two
+measures keep that off the critical path, neither observable in the
 merged output:
 
 * **a warm persistent pool** — one module-level ``spawn`` pool is kept
@@ -46,19 +56,16 @@ merged output:
   pay the import latency.  Worker reuse is safe for the same reason
   parallelism is: tasks are pure functions of their payloads and may
   not mutate module state they expect to see again.
-* **task chunking** — tasks are grouped into contiguous chunks (one
-  future per chunk, ``fn`` pickled once per chunk) and key/value pairs
-  shared by every payload in a chunk are factored out and shipped
-  once, instead of re-serializing the full sweep spec per point.
-  Workers rebuild each payload as ``{**shared, **delta}``; dict
-  equality is order-insensitive and tasks are functions of payload
-  *values*, so results are unchanged.  Cache digests are computed
-  parent-side from the original payloads and never see the split.
-
-Failure handling keeps per-task granularity: a chunk worker catches
-each task's exception and returns it in-band, so retries and
-:class:`~repro.common.errors.WorkerFailureError` still name the exact
-shard that failed, and a retry re-runs only that shard.
+* **task chunking** — first attempts go to the pool in contiguous
+  chunks (:data:`_CHUNK_ROUNDS` per worker, ``fn`` pickled once per
+  chunk) and key/value pairs shared by every payload in a chunk are
+  factored out and shipped once.  Workers rebuild each payload as
+  ``{**shared, **delta}``; dict equality is order-insensitive and
+  tasks are functions of payload *values*, so results are unchanged.
+  Cache digests are computed parent-side from the original payloads
+  and never see the split.  A chunk worker returns each task's
+  exception in-band, so a failure charges and retries only its own
+  shard; retries go to the pool one shard at a time.
 """
 
 from __future__ import annotations
@@ -67,12 +74,17 @@ import atexit
 import concurrent.futures
 import inspect
 import multiprocessing
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
+    HostLostError,
+    LeaseExpiredError,
     ShardTimeoutError,
+    ShardTransportError,
     WorkerFailureError,
 )
 from repro.common.rng import DeterministicRng
@@ -80,12 +92,21 @@ from repro.obs import diag
 from repro.obs.events import CATEGORY_PARALLEL
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.cache import ResultCache, cache_key, config_digest
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, run_attempts
+from repro.parallel.ledger import DispatchLedger
+from repro.resilience.retry import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
+    _default_sleep,
+)
 
 #: Chunks per worker in one ``map`` call.  Two rounds per worker keeps
 #: the amortization (``fn`` + the factored-out shared spec pickle once
 #: per chunk) while leaving slack for uneven task costs.
 _CHUNK_ROUNDS = 2
+
+#: What a remote slot raises when its host is gone: the host is
+#: retired and the shard requeued without charging an attempt.
+_HOST_LOSS = (HostLostError, LeaseExpiredError, ShardTransportError)
 
 
 def _call_task(fn: Callable[..., Any], payload: Any,
@@ -120,7 +141,7 @@ def _call_task_chunk(
             payload.update(delta)
         try:
             out.append((True, _call_task(fn, payload, task_seed)))
-        except BaseException as exc:  # returned, not raised: in-band
+        except Exception as exc:  # returned, not raised: in-band
             out.append((False, exc))
     return out
 
@@ -216,7 +237,7 @@ def _terminate_pool() -> None:
 
     ``shutdown(wait=False)`` alone leaves a wedged worker running its
     stuck task forever; after a shard timeout the only way to reclaim
-    the CPU is to terminate the processes outright.  Queued futures on
+    the CPU is to terminate the processes outright.  Futures still on
     the old pool fail with ``BrokenProcessPool`` and retry on a fresh
     pool — pure tasks make that safe.
     """
@@ -242,6 +263,33 @@ def _wants_task_seed(fn: Callable[..., Any]) -> bool:
     return "task_seed" in parameters
 
 
+def _clock() -> float:
+    """Wall time for per-attempt deadlines; it never reaches a result."""
+    # repro-lint: disable-next-line=RL001 — attempt budgets are wall-clock
+    return time.monotonic()
+
+
+def _describe(error: Any) -> str:
+    """One-line cause: remote hosts report task errors as strings."""
+    if isinstance(error, str):
+        return error
+    return f"{type(error).__name__}: {error}"
+
+
+def _chunks(shards: List["_Shard"], workers: int) -> List[List["_Shard"]]:
+    """Contiguous chunks, :data:`_CHUNK_ROUNDS` per worker, the longer
+    ones first so the short ones fill in at the end."""
+    n_chunks = min(len(shards), workers * _CHUNK_ROUNDS)
+    base, extra = divmod(len(shards), n_chunks)
+    chunks = []
+    start = 0
+    for i in range(n_chunks):
+        size = base + (1 if i < extra else 0)
+        chunks.append(shards[start:start + size])
+        start += size
+    return chunks
+
+
 @dataclass
 class _Shard:
     """Parent-side bookkeeping for one submitted task."""
@@ -252,6 +300,48 @@ class _Shard:
     task_seed: Optional[int]
     digest: Optional[str] = None
     cached: bool = False
+    handoffs: int = 0  # times handed to a slot
+    failures: int = 0  # attempts consumed
+    timeouts: int = 0  # of those, per-attempt timeouts
+
+
+@dataclass
+class _Unit:
+    """Shards in flight on one slot, and when their attempt runs out."""
+
+    slot: Any
+    shards: List[_Shard]
+    future: "concurrent.futures.Future[List[Tuple[bool, Any]]]"
+    deadline: Optional[float]
+
+
+class _LocalSlot:
+    """A place on this machine: inline when ``workers == 0``, else one
+    of the warm pool's ``workers`` processes."""
+
+    local = True
+    name = ""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+
+    def submit(self, fn: Callable[..., Any], shards: List[_Shard]) -> Any:
+        shared, deltas = _split_common([s.payload for s in shards])
+        items = [(delta, s.task_seed) for delta, s in zip(deltas, shards)]
+        future: Any = concurrent.futures.Future()
+        try:
+            if self.workers:
+                return _warm_pool(self.workers).submit(
+                    _call_task_chunk, fn, shared, items
+                )
+            future.set_result(_call_task_chunk(fn, shared, items))
+        except Exception as exc:  # BrokenProcessPool while submitting
+            future.set_exception(exc)
+        return future
+
+    def abandon(self) -> None:
+        """Kill the wedged pool; its other units fail and are charged."""
+        _terminate_pool()
 
 
 class SweepExecutor:
@@ -260,9 +350,10 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) runs every task inline
-        in the calling process — no pool, no pickling round-trip —
-        and is the reference ordering the parallel path must match.
+        Local slots.  ``1`` (the default) runs every task inline in
+        the calling process — no pool, no pickling round-trip — and is
+        the reference ordering every other placement must match.
+        ``jobs > 1`` runs every uncached shard on the warm pool.
     seed:
         Root of the per-task substream derivation.  Task *i* of the
         executor's lifetime receives
@@ -274,18 +365,23 @@ class SweepExecutor:
         ``None``, a directory path, or a :class:`ResultCache`.  Only
         ``map`` calls that pass ``kind`` participate in caching.
     retry:
-        :class:`RetryPolicy` for worker attempts (default: 2 attempts,
-        no timeout).
+        :class:`RetryPolicy` for every attempt on every slot (default:
+        2 attempts, no timeout, no backoff).  A ``timeout_seconds``
+        needs ``jobs > 1``: an inline attempt cannot be interrupted.
     tracer:
         Optional :class:`~repro.obs.tracer.EventTracer`; lifecycle
         events are always mirrored into :mod:`repro.obs.diag`.
     dispatch:
         Optional :class:`~repro.parallel.dispatch.DispatchCoordinator`.
-        When set, shards that miss the cache run on remote worker
-        hosts instead of the local pool; if every host is lost the
-        coordinator drains the remainder back through this executor's
-        local paths (degraded mode).  Placement never affects results
-        — see docs/dispatch.md.
+        When set, shards run on its live remote hosts; once none is
+        left the rest run on the local slots (degraded mode).
+        Placement never affects results — see docs/dispatch.md.
+    ledger:
+        Path, :class:`DispatchLedger`, or ``None`` (in-memory): where
+        every shard state change of the last ``map`` is recorded.
+    sleep:
+        Backoff primitive (tests pass a recorder); the real
+        ``time.sleep`` by default.
     """
 
     def __init__(
@@ -296,13 +392,24 @@ class SweepExecutor:
         retry: RetryPolicy = DEFAULT_RETRY_POLICY,
         tracer: Any = NULL_TRACER,
         dispatch: Optional[Any] = None,
+        ledger: Any = None,
+        sleep: Callable[[float], None] = _default_sleep,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        if jobs == 1 and retry.timeout_seconds is not None:
+            raise ConfigurationError(
+                "retry.timeout_seconds needs jobs > 1: an inline attempt "
+                "cannot be interrupted"
+            )
         self.jobs = jobs
         self.retry = retry
         self.tracer = tracer
         self.dispatch = dispatch
+        if not isinstance(ledger, DispatchLedger):
+            ledger = DispatchLedger(ledger)
+        self.ledger = ledger
+        self._sleep = sleep
         self._seed_root = DeterministicRng(seed)
         self._tasks_submitted = 0
         if isinstance(cache, str):
@@ -360,6 +467,11 @@ class SweepExecutor:
                 )
             )
 
+        self.ledger.begin(
+            kind or getattr(fn, "__name__", "task"),
+            self.dispatch.host_names if self.dispatch is not None else [],
+            len(shards),
+        )
         results: Dict[int, Any] = {}
         to_run: List[_Shard] = []
         for shard in shards:
@@ -373,34 +485,18 @@ class SweepExecutor:
                     self.tasks_cached += 1
                     self._emit("parallel.cache_hit", shard.index,
                                label=shard.label, digest=shard.digest)
+                    self.ledger.record(shard.index, "cached",
+                                       label=shard.label, digest=shard.digest)
                     continue
                 self._emit("parallel.cache_miss", shard.index,
                            label=shard.label, digest=shard.digest)
             to_run.append(shard)
             self._emit("parallel.task_submit", shard.index,
                        label=shard.label)
+            self.ledger.record(shard.index, "queued", label=shard.label)
 
         if to_run:
-            if self.dispatch is not None:
-                cached_shards = [s for s in shards if s.cached]
-                self._run_dispatched(
-                    fn, to_run, cached_shards, kind, results
-                )
-            elif self.jobs == 1 or len(to_run) == 1:
-                self._run_inline(fn, to_run, results)
-            else:
-                self._run_pooled(fn, to_run, results)
-
-        for shard in to_run:
-            if self.cache is not None and shard.digest is not None:
-                # The cached value keeps its obs_registry (absorption
-                # below works on a copy), so cache hits replay their
-                # shard registries exactly like fresh runs.
-                self.cache.put(
-                    shard.digest,
-                    cache_key(kind, self._key_doc(shard)),
-                    results[shard.index],
-                )
+            self._run(fn, to_run, kind, len(shards) - len(to_run), results)
         return [
             self._absorb_registry(results[shard.index]) for shard in shards
         ]
@@ -454,227 +550,202 @@ class SweepExecutor:
             return shard.payload
         return {"payload": shard.payload, "task_seed": shard.task_seed}
 
-    # -- execution strategies ---------------------------------------------
+    # -- the shard loop -----------------------------------------------------
 
-    def _run_dispatched(
+    def _run(
         self,
         fn: Callable[..., Any],
         to_run: List[_Shard],
-        cached_shards: List[_Shard],
         kind: Optional[str],
+        cached: int,
         results: Dict[int, Any],
     ) -> None:
-        """Fan shards out through the dispatch coordinator.
+        """Run every shard of ``to_run`` to a result or a raised failure.
 
-        The coordinator owns placement and recovery; this method owns
-        the executor-side accounting that keeps the ``parallel.*``
-        gauges jobs- *and* placement-invariant: exactly one
-        ``task_done`` per shard, whether the shard ran on a remote
-        host or drained through the local paths in degraded mode (the
-        local paths emit their own events, so remote completions are
-        emitted here and drained shards are not double-counted).
+        Each turn hands queued work to free slots, waits for the first
+        unit to finish or run out of time, and settles every unit that
+        has.  Results are stored by index; ``parallel.task_done``
+        fires as the completed prefix of ``to_run`` grows, so it fires
+        once per shard in submission order on every backend.
         """
-        drained: set = set()
+        remote = self.dispatch
+        workers = min(self.jobs, len(to_run))
+        if self.jobs == 1:
+            local_slots = [_LocalSlot(0)]
+        else:
+            # The pool is sized for ``jobs`` (spawn starts processes on
+            # demand), so maps of different sizes share one pool.
+            local_slots = [_LocalSlot(self.jobs) for _ in range(workers)]
+        if remote is None and self.jobs > 1:
+            queue: Deque[List[_Shard]] = deque(_chunks(to_run, workers))
+        else:
+            queue = deque([shard] for shard in to_run)
+        running: List[_Unit] = []
+        local = remote is None
+        done = 0
+        try:
+            if remote is not None:
+                remote.begin(kind or getattr(fn, "__name__", "task"),
+                             len(to_run), cached)
+            while queue or running:
+                if not local and not remote.slots():
+                    local = True
+                    remote.degrade(sum(len(unit) for unit in queue))
+                    self.ledger.set_degraded(True)
+                busy = [unit.slot for unit in running]
+                for slot in local_slots if local else remote.slots():
+                    if not queue:
+                        break
+                    if all(slot is not other for other in busy):
+                        self._hand_off(fn, slot, queue.popleft(), running)
+                self._settle(running, queue, results)
+                while done < len(to_run) and to_run[done].index in results:
+                    shard = to_run[done]
+                    done += 1
+                    self.tasks_run += 1
+                    self._emit("parallel.task_done", shard.index,
+                               label=shard.label)
+                    if self.cache is not None and shard.digest is not None:
+                        # The cached value keeps its obs_registry, so
+                        # cache hits replay their shard registries
+                        # exactly like fresh runs.
+                        self.cache.put(
+                            shard.digest,
+                            cache_key(kind, self._key_doc(shard)),
+                            results[shard.index],
+                        )
+        finally:
+            if remote is not None:
+                remote.end(len(to_run))
 
-        def local_runner(shard_list: List[_Shard]) -> Dict[int, Any]:
-            local_results: Dict[int, Any] = {}
-            drained.update(s.index for s in shard_list)
-            if self.jobs == 1 or len(shard_list) == 1:
-                self._run_inline(fn, shard_list, local_results)
-            else:
-                self._run_pooled(fn, shard_list, local_results)
-            return local_results
+    def _hand_off(
+        self, fn: Callable[..., Any], slot: Any, shards: List[_Shard],
+        running: List[_Unit],
+    ) -> None:
+        for shard in shards:
+            shard.handoffs += 1
+            self.ledger.record(shard.index, "leased", label=shard.label,
+                               host=slot.name, attempts=shard.handoffs)
+        timeout = self.retry.timeout_seconds
+        running.append(_Unit(
+            slot, shards, slot.submit(fn, shards),
+            None if timeout is None
+            else _clock() + timeout * len(shards),
+        ))
 
-        dispatched = self.dispatch.run(
-            fn,
-            to_run,
-            kind=kind or "",
-            cached_shards=cached_shards,
-            local_runner=local_runner,
+    def _settle(
+        self, running: List[_Unit], queue: Deque[List[_Shard]],
+        results: Dict[int, Any],
+    ) -> None:
+        """Wait for the next unit to finish or time out; settle those
+        that have, in submission order."""
+        deadlines = [u.deadline for u in running if u.deadline is not None]
+        concurrent.futures.wait(
+            [unit.future for unit in running],
+            timeout=(max(0.0, min(deadlines) - _clock())
+                     if deadlines else None),
+            return_when=concurrent.futures.FIRST_COMPLETED,
         )
-        for shard in to_run:
-            results[shard.index] = dispatched[shard.index]
-            if shard.index not in drained:
-                self.tasks_run += 1
-                self._emit(
-                    "parallel.task_done", shard.index, label=shard.label
-                )
+        now = _clock()
+        for unit in sorted(running, key=lambda u: u.shards[0].index):
+            if unit.future.done():
+                try:
+                    outcomes = unit.future.result()
+                except _HOST_LOSS as exc:
+                    running.remove(unit)
+                    unit.slot.retire(exc)
+                    for shard in unit.shards:
+                        self._resubmit(shard, queue)
+                    continue
+                except Exception as exc:  # BrokenProcessPool and kin
+                    outcomes = [(False, exc)] * len(unit.shards)
+            elif unit.deadline is not None and now >= unit.deadline:
+                unit.slot.abandon()
+                outcomes = [(False, self._timeout(shard, unit))
+                            for shard in unit.shards]
+            else:
+                continue
+            running.remove(unit)
+            for shard, (ok, value) in zip(unit.shards, outcomes):
+                if ok:
+                    results[shard.index] = value
+                    self.ledger.record(
+                        shard.index,
+                        "local" if unit.slot.local else "completed",
+                        label=shard.label, host=unit.slot.name,
+                        attempts=shard.handoffs, digest=shard.digest or "",
+                    )
+                else:
+                    self._charge(shard, value, queue)
 
-    def _shard_timeout(
-        self, shard: _Shard, attempt: int, chunk_size: int
-    ) -> ShardTimeoutError:
-        """Build the typed timeout error for a wedged shard.
+    def _timeout(self, shard: _Shard, unit: _Unit) -> ShardTimeoutError:
+        """The typed timeout for a shard whose attempt ran out of time.
 
         Watchdog discipline (docs/resilience.md): the failure carries
-        a structured dump of what was stuck, the event ring gets a
-        mirror of it, and the wedged pool is terminated so the stuck
-        worker cannot keep burning a core behind the sweep's back.
+        a structured dump of what was stuck and the event ring gets a
+        mirror of it.  The slot was already abandoned — a wedged pool
+        is terminated so the stuck worker cannot keep burning a core
+        behind the sweep's back; a remote host is retired.
         """
-        dump = {
-            "shard": shard.index,
-            "label": shard.label,
-            "attempt": attempt,
-            "timeout_seconds": self.retry.timeout_seconds,
-            "chunk_size": chunk_size,
-            "jobs": self.jobs,
-            "pool_terminated": True,
-        }
+        timeout = self.retry.timeout_seconds or 0.0
         self._emit(
             "parallel.shard_timeout", shard.index, label=shard.label,
-            attempt=attempt, timeout_seconds=self.retry.timeout_seconds,
+            attempt=shard.failures + 1, timeout_seconds=timeout,
         )
-        _terminate_pool()
         return ShardTimeoutError(
-            f"shard {shard.label} exceeded its "
-            f"{self.retry.timeout_seconds}s attempt budget "
-            f"(attempt {attempt}, chunk of {chunk_size})",
+            f"shard {shard.label} exceeded its {timeout}s attempt budget "
+            f"(attempt {shard.failures + 1}, chunk of {len(unit.shards)})",
             task_index=shard.index,
             label=shard.label,
-            timeout_seconds=self.retry.timeout_seconds or 0.0,
-            dump=dump,
+            timeout_seconds=timeout,
+            dump={
+                "shard": shard.index,
+                "label": shard.label,
+                "attempt": shard.failures + 1,
+                "timeout_seconds": timeout,
+                "chunk_size": len(unit.shards),
+                "jobs": self.jobs,
+                "pool_terminated": unit.slot.local,
+            },
         )
 
-    def _run_inline(
-        self, fn: Callable[..., Any], to_run: List[_Shard],
-        results: Dict[int, Any],
+    def _charge(
+        self, shard: _Shard, error: Any, queue: Deque[List[_Shard]]
     ) -> None:
-        for shard in to_run:
-            def attempt(_number: int, shard: _Shard = shard) -> Any:
-                return _call_task(fn, shard.payload, shard.task_seed)
-
-            results[shard.index] = run_attempts(
-                attempt, self.retry,
-                task_index=shard.index, label=shard.label,
-                on_retry=lambda n, e, s=shard: self._on_retry(s, n, e),
+        """Count one failed attempt of ``shard``: requeue it while the
+        budget lasts, else raise the run-ending error."""
+        shard.failures += 1
+        if isinstance(error, ShardTimeoutError):
+            shard.timeouts += 1
+        if shard.failures < self.retry.max_attempts:
+            self.retries += 1
+            self._emit(
+                "parallel.task_retry", shard.index, label=shard.label,
+                attempt=shard.failures + 1, error=_describe(error),
             )
-            self.tasks_run += 1
-            self._emit("parallel.task_done", shard.index, label=shard.label)
+            self._resubmit(shard, queue)
+            return
+        self.ledger.record(shard.index, "failed", label=shard.label,
+                           attempts=shard.handoffs, detail=_describe(error))
+        if shard.timeouts == shard.failures:
+            # Every attempt hit the budget: surface the typed timeout
+            # (with its structured dump), not the generic wrapper.
+            error.dump["attempts"] = shard.failures
+            raise error
+        raise WorkerFailureError(
+            f"task {shard.label} failed after {shard.failures} "
+            f"attempt(s): {error}",
+            task_index=shard.index,
+            label=shard.label,
+            attempts=shard.failures,
+            last_error=_describe(error),
+        ) from (error if isinstance(error, BaseException) else None)
 
-    def _run_pooled(
-        self, fn: Callable[..., Any], to_run: List[_Shard],
-        results: Dict[int, Any],
-    ) -> None:
-        """Chunked execution on the warm persistent pool.
-
-        Tasks are split into contiguous chunks — :data:`_CHUNK_ROUNDS`
-        per worker, so each worker sees a couple of large futures
-        instead of one tiny future per task — and every chunk's
-        payloads have their common keys factored out parent-side
-        (:func:`_split_common`).  Chunks are collected in submission
-        order; within a chunk, per-task outcomes come back in-band, so
-        a failure retries only its own shard (resubmitted singly, into
-        a rebuilt pool if the old one broke).  The per-attempt timeout
-        applies to the single-shard retries; the first attempt's chunk
-        future gets it scaled by the chunk length.
-        """
-        workers = min(self.jobs, len(to_run))
-        n_chunks = min(len(to_run), workers * _CHUNK_ROUNDS)
-        base, extra = divmod(len(to_run), n_chunks)
-        chunks: List[List[_Shard]] = []
-        start = 0
-        for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            chunks.append(to_run[start:start + size])
-            start += size
-
-        pool = _warm_pool(workers)
-        # A chunk slot holds either a Future or the exception submit
-        # itself raised: a worker dying while later chunks are still
-        # being submitted breaks the pool mid-loop, and that must cost
-        # the affected shards one attempt, not the whole sweep.
-        pending: List[Tuple[List[_Shard], Any]] = []
-        for chunk in chunks:
-            shared, deltas = _split_common([s.payload for s in chunk])
-            items = [
-                (delta, shard.task_seed)
-                for delta, shard in zip(deltas, chunk)
-            ]
-            try:
-                slot: Any = pool.submit(_call_task_chunk, fn, shared, items)
-            except Exception as exc:  # BrokenProcessPool and kin
-                slot = exc
-            pending.append((chunk, slot))
-
-        # First-attempt outcomes, (ok, value-or-exception) per shard.
-        # A chunk-level failure (timeout, dead pool) charges every
-        # shard in the chunk one attempt, matching the old per-future
-        # accounting.
-        outcomes: Dict[int, Tuple[bool, Any]] = {}
-        for chunk, future in pending:
-            if isinstance(future, BaseException):
-                for shard in chunk:
-                    outcomes[shard.index] = (False, future)
-            else:
-                timeout = self.retry.timeout_seconds
-                if timeout is not None:
-                    timeout *= len(chunk)
-                try:
-                    for shard, outcome in zip(
-                        chunk, future.result(timeout)
-                    ):
-                        outcomes[shard.index] = outcome
-                except concurrent.futures.TimeoutError as exc:
-                    future.cancel()
-                    for shard in chunk:
-                        outcomes[shard.index] = (False, exc)
-                except Exception as exc:  # BrokenProcessPool and kin
-                    for shard in chunk:
-                        outcomes[shard.index] = (False, exc)
-
-            for shard in chunk:
-                def attempt(number: int, shard: _Shard = shard,
-                            chunk: List[_Shard] = chunk) -> Any:
-                    nonlocal pool
-                    if number == 1:
-                        ok, value = outcomes[shard.index]
-                        if ok:
-                            return value
-                        if isinstance(
-                            value, concurrent.futures.TimeoutError
-                        ):
-                            raise self._shard_timeout(
-                                shard, number, len(chunk)
-                            ) from value
-                        raise value
-                    if pool is not _POOL or getattr(pool, "_broken", False):
-                        # The warm pool broke or was terminated after
-                        # a shard timeout: rebuild before retrying.
-                        _discard_pool()
-                        pool = _warm_pool(workers)
-                    retry_future = pool.submit(
-                        _call_task, fn, shard.payload, shard.task_seed
-                    )
-                    try:
-                        return retry_future.result(
-                            timeout=self.retry.timeout_seconds
-                        )
-                    except concurrent.futures.TimeoutError as exc:
-                        retry_future.cancel()
-                        raise self._shard_timeout(shard, number, 1) from exc
-
-                try:
-                    results[shard.index] = run_attempts(
-                        attempt, self.retry,
-                        task_index=shard.index, label=shard.label,
-                        on_retry=lambda n, e, s=shard: self._on_retry(s, n, e),
-                    )
-                except WorkerFailureError as failure:
-                    cause = failure.__cause__
-                    if isinstance(cause, ShardTimeoutError):
-                        # Every attempt hit the budget: surface the
-                        # typed timeout (with its structured dump)
-                        # rather than the generic retry wrapper.
-                        cause.dump["attempts"] = failure.attempts
-                        raise cause from failure
-                    raise
-                self.tasks_run += 1
-                self._emit("parallel.task_done", shard.index,
-                           label=shard.label)
-
-    def _on_retry(self, shard: _Shard, number: int,
-                  error: BaseException) -> None:
-        self.retries += 1
-        self._emit(
-            "parallel.task_retry", shard.index, label=shard.label,
-            attempt=number, error=f"{type(error).__name__}: {error}",
-        )
+    def _resubmit(self, shard: _Shard, queue: Deque[List[_Shard]]) -> None:
+        """Back off, then queue ``shard`` for one more hand-off."""
+        delay = self.retry.backoff_delay(shard.handoffs)
+        if delay > 0.0:
+            self._sleep(delay)
+        self.ledger.record(shard.index, "requeued", label=shard.label,
+                           attempts=shard.handoffs)
+        queue.append([shard])

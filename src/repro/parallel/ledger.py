@@ -1,9 +1,10 @@
-"""Persistent dispatch ledger: what happened to every shard, on disk.
+"""Persistent shard ledger: what happened to every shard, on disk.
 
-The coordinator rewrites one JSON document on every shard state
-transition using the REPROSNAP atomic-write primitive
+The executor's shard loop (:class:`~repro.parallel.executor.
+SweepExecutor`) rewrites one JSON document on every shard state
+change, local or remote, using the REPROSNAP atomic-write primitive
 (:func:`repro.resilience.snapshot.atomic_write_bytes`), so a crashed
-or SIGKILLed coordinator always leaves a *complete, parseable* ledger
+or SIGKILLed sweep always leaves a *complete, parseable* ledger
 behind — never a truncated one.  The ledger is the audit trail and
 the resume story's witness: re-running an interrupted sweep serves
 completed shards from the content-addressed cache (the digests are in
@@ -11,16 +12,16 @@ here), and ``repro dispatch status`` renders this file.
 
 Shard states form a small machine::
 
-    queued ──> leased ──> completed
-                 │  ^
-                 v  │ (re-dispatch, attempts += 1)
-              requeued
+    queued ──> leased ──> completed (ran on a remote host)
+                 │  ^ ──> local     (ran on this machine)
+                 v  │
+              requeued (failed attempt or lost host)
                  │
                  v
-       local (degraded drain)      failed (budget exhausted)
+              failed (attempt budget exhausted)
 
 plus ``cached`` for shards the executor satisfied from the result
-cache without dispatching at all.
+cache without running them at all.
 
 The ledger deliberately stores *digests*, not result values — results
 live in the cache, addressed by the same digest, so the ledger stays
@@ -30,7 +31,6 @@ small and the two artefacts cross-check each other.
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -54,18 +54,15 @@ SHARD_STATES = (
 
 
 class DispatchLedger:
-    """One sweep's dispatch ledger, persisted atomically on mutation.
+    """One sweep's shard ledger, persisted atomically on mutation.
 
     ``path=None`` gives an in-memory ledger (tests, callers that only
     want the status document) — same API, no I/O.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
+        # Only the executor's shard loop writes, from one thread.
         self._path = Path(path) if path else None
-        # Coordinator host threads record transitions concurrently; the
-        # lock makes each mutate-and-flush atomic so a racing flush can
-        # never rename a stale snapshot over a fuller one.
-        self._lock = threading.Lock()
         self.doc: Dict[str, Any] = {
             "ledger_schema": LEDGER_SCHEMA,
             "kind": "",
@@ -78,13 +75,12 @@ class DispatchLedger:
 
     def begin(self, kind: str, hosts: List[str], shard_count: int) -> None:
         """Start (or restart) a sweep: reset the document and persist."""
-        with self._lock:
-            self.doc["kind"] = kind
-            self.doc["hosts"] = list(hosts)
-            self.doc["degraded"] = False
-            self.doc["shards"] = {}
-            self.doc["shard_count"] = shard_count
-            self._flush()
+        self.doc["kind"] = kind
+        self.doc["hosts"] = list(hosts)
+        self.doc["degraded"] = False
+        self.doc["shards"] = {}
+        self.doc["shard_count"] = shard_count
+        self._flush()
 
     def record(
         self,
@@ -102,49 +98,38 @@ class DispatchLedger:
                 f"unknown ledger shard state {state!r} "
                 f"(expected one of {SHARD_STATES})"
             )
-        with self._lock:
-            entry: Dict[str, Any] = dict(
-                self.doc["shards"].get(str(shard), {})
-            )
-            entry["state"] = state
-            if label:
-                entry["label"] = label
-            if host:
-                entry["host"] = host
-            if attempts:
-                entry["attempts"] = attempts
-            if digest:
-                entry["digest"] = digest
-            if detail:
-                entry["detail"] = detail
-            elif state != "failed":
-                entry.pop("detail", None)
-            self.doc["shards"][str(shard)] = entry
-            self._flush()
+        entry = self.doc["shards"].setdefault(str(shard), {})
+        entry["state"] = state
+        for key, value in (("label", label), ("host", host),
+                           ("attempts", attempts), ("digest", digest)):
+            if value:
+                entry[key] = value
+        if detail:
+            entry["detail"] = detail
+        elif state != "failed":
+            entry.pop("detail", None)
+        self._flush()
 
     def set_degraded(self, degraded: bool = True) -> None:
-        with self._lock:
-            self.doc["degraded"] = bool(degraded)
-            self._flush()
+        self.doc["degraded"] = bool(degraded)
+        self._flush()
 
     # -- queries -----------------------------------------------------
 
     def states(self) -> Dict[int, str]:
         """Shard index -> current state."""
-        with self._lock:
-            return {
-                int(index): entry.get("state", "")
-                for index, entry in self.doc["shards"].items()
-            }
+        return {
+            int(index): entry.get("state", "")
+            for index, entry in self.doc["shards"].items()
+        }
 
     def counts(self) -> Dict[str, int]:
         """State -> number of shards currently in it (zero-filled)."""
         counts = {state: 0 for state in SHARD_STATES}
-        with self._lock:
-            for entry in self.doc["shards"].values():
-                state = entry.get("state", "")
-                if state in counts:
-                    counts[state] += 1
+        for entry in self.doc["shards"].values():
+            state = entry.get("state", "")
+            if state in counts:
+                counts[state] += 1
         return counts
 
     # -- persistence -------------------------------------------------

@@ -3,10 +3,11 @@
 One :class:`WorkerHost` is one remote execution endpoint for the
 dispatch coordinator (:mod:`repro.parallel.dispatch`): it accepts one
 coordinator connection at a time, performs the version handshake, and
-then executes ``shard`` requests one by one — each on the process's
-existing warm ``spawn`` pool (:func:`repro.parallel.executor._warm_pool`),
-so a worker host amortises interpreter spawn and simulator imports
-exactly like a local ``--jobs N`` run does.
+then executes ``shard`` requests one by one — each on a one-process
+warm ``spawn`` pool (:func:`repro.parallel.executor._warm_pool`), so a
+worker host pays interpreter spawn and simulator imports once.  A host
+runs one shard at a time; to use more processes on one machine, start
+more worker hosts.
 
 While a shard executes on the pool, the serving thread sends
 ``heartbeat`` frames every ``heartbeat_seconds`` so the coordinator's
@@ -22,10 +23,10 @@ arbitrary pickled code: the coordinator names a function, the worker
 decides whether it is willing to run it.
 
 Failure handling mirrors the executor's in-band convention: a task
-exception becomes an ``ok=false`` result frame (the coordinator
-charges an attempt and re-dispatches), while transport errors tear
-down the connection and return the host to its accept loop, ready for
-the next coordinator.
+exception becomes an ``ok=false`` result frame (the executor's shard
+loop charges an attempt and requeues the shard), while transport
+errors tear down the connection and return the host to its accept
+loop, ready for the next coordinator.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ def task_spec(fn: Callable[..., Any]) -> str:
     return f"{module}:{qualname}"
 
 
-class _StopServing(Exception):
-    """Internal: a shutdown frame asked the whole host to exit."""
-
-
 class WorkerHost:
     """One dispatch worker endpoint.
 
@@ -114,8 +111,6 @@ class WorkerHost:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (``bind()``
         returns the actual one — tests depend on this).
-    jobs:
-        Worker processes in this host's warm spawn pool.
     task_modules:
         Module allowlist for :func:`resolve_task`.
     heartbeat_seconds:
@@ -130,18 +125,14 @@ class WorkerHost:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
         task_modules: Sequence[str] = DEFAULT_TASK_MODULES,
         heartbeat_seconds: float = 1.0,
         inline: bool = False,
     ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if heartbeat_seconds <= 0:
             raise ConfigurationError("heartbeat_seconds must be positive")
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.task_modules = tuple(task_modules)
         self.heartbeat_seconds = heartbeat_seconds
         self.inline = inline
@@ -189,8 +180,7 @@ class WorkerHost:
         assert self._listener is not None
         diag.emit_diagnostic(
             "dispatch.worker_listening", category=CATEGORY_DISPATCH,
-            host=f"{self.host}:{self.port}", jobs=self.jobs,
-            inline=self.inline,
+            host=f"{self.host}:{self.port}", inline=self.inline,
         )
         while True:
             try:
@@ -204,10 +194,6 @@ class WorkerHost:
             self._active_channel = channel
             try:
                 self._serve_connection(channel, peer)
-            except _StopServing:
-                channel.close()
-                self.close()
-                return
             except (HostLostError, ShardTransportError, socket.timeout) as exc:
                 # The coordinator went away or sent garbage: drop the
                 # connection, log it, and go back to accepting — a
@@ -230,40 +216,23 @@ class WorkerHost:
             raise ShardTransportError(
                 f"expected hello frame, got {kind!r}", host=peer
             )
-        if payload.get("protocol") != PROTOCOL_VERSION:
-            channel.send(
-                "error",
-                {"error": f"protocol {payload.get('protocol')!r} "
-                          f"!= {PROTOCOL_VERSION}"},
-            )
-            raise ShardTransportError(
-                f"coordinator protocol mismatch: {payload.get('protocol')!r}",
-                host=peer,
-            )
-        if payload.get("code_version") != repro.__version__:
-            channel.send(
-                "error",
-                {"error": f"code_version {payload.get('code_version')!r} "
-                          f"!= {repro.__version__}"},
-            )
-            raise ShardTransportError(
-                f"coordinator code_version {payload.get('code_version')!r} "
-                f"!= worker {repro.__version__}",
-                host=peer,
-            )
-        ack = hello_payload(repro.__version__, "worker")
-        ack["jobs"] = self.jobs
-        channel.send("hello_ack", ack)
+        for field, expected in (
+            ("protocol", PROTOCOL_VERSION),
+            ("code_version", repro.__version__),
+        ):
+            if payload.get(field) != expected:
+                mismatch = f"{field} {payload.get(field)!r} != {expected}"
+                channel.send("error", {"error": mismatch})
+                raise ShardTransportError(
+                    f"coordinator {mismatch}", host=peer
+                )
+        channel.send("hello_ack", hello_payload(repro.__version__, "worker"))
         diag.emit_diagnostic(
             "dispatch.worker_handshake", category=CATEGORY_DISPATCH,
             peer=peer,
         )
         while True:
             kind, payload = channel.recv(timeout=None)
-            if kind == "shutdown":
-                if isinstance(payload, dict) and payload.get("stop_server"):
-                    raise _StopServing()
-                return
             if kind != "shard" or not isinstance(payload, dict):
                 raise ShardTransportError(
                     f"expected shard frame, got {kind!r}", host=peer
@@ -312,7 +281,7 @@ class WorkerHost:
     ) -> Any:
         if self.inline:
             return _call_task(fn, payload, task_seed)
-        pool = _warm_pool(self.jobs)
+        pool = _warm_pool(1)
         future = pool.submit(_call_task, fn, payload, task_seed)
         seq = 0
         while True:

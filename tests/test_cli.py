@@ -71,6 +71,22 @@ class TestCommands:
         assert out_1 == out_2
         assert "mean_latency" not in out_1  # flat {latency: value} map
 
+    def test_ledger_without_hosts(self, capsys, tmp_path):
+        """Every run records its shards: a local sweep's ledger renders
+        with every shard in state ``local``."""
+        ledger = str(tmp_path / "ledger.json")
+        assert main(["--scale", "0.1", "sweep", "noc-latency",
+                     "--benchmark", "gcc", "--jobs", "2",
+                     "--ledger", ledger]) == 0
+        capsys.readouterr()
+        assert main(["dispatch", "status", "--ledger", ledger]) == 0
+        out = capsys.readouterr().out
+        assert "hosts:    (none)" in out
+        with open(ledger, encoding="utf-8") as fh:
+            shards = json.load(fh)["shards"]
+        assert shards
+        assert {entry["state"] for entry in shards.values()} == {"local"}
+
     def test_cache_verbs_round_trip(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         assert main(["--scale", "0.1", "sweep", "noc-latency",

@@ -16,6 +16,7 @@ exercised over real sockets without subprocess management; the CI
 import contextlib
 import dataclasses
 import json
+import os
 import socket
 import time
 
@@ -24,7 +25,7 @@ import pytest
 from repro.analysis.experiments import ExperimentDefaults
 from repro.common.errors import (
     ConfigurationError,
-    DispatchError,
+    ShardTimeoutError,
     WorkerFailureError,
 )
 from repro.obs import diag
@@ -41,6 +42,7 @@ from repro.parallel import (
     WorkerHost,
     parse_hosts,
 )
+from repro.parallel.dispatch import DEFAULT_DISPATCH_RETRY_POLICY
 from repro.parallel.tasks import make_run_payload, noc_latency_task
 from repro.parallel.worker import resolve_task, task_spec
 from repro.resilience.retry import RetryPolicy
@@ -61,6 +63,16 @@ def seeded_echo_task(payload, task_seed=None):
 
 def always_fails_task(payload):
     raise ValueError("permanent failure")
+
+
+def flaky_task(payload):
+    """Fails on the first attempt, succeeds once the marker exists."""
+    marker = payload["marker"]
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as fh:
+            fh.write("attempted")
+        raise RuntimeError("transient failure")
+    return {"x": payload["x"]}
 
 
 def slow_echo_task(payload):
@@ -120,10 +132,12 @@ def sweep_payloads():
     ]
 
 
-def run_scenario(payloads, jobs=1, dispatch=None, cache=None, seed=0):
+def run_scenario(payloads, jobs=1, dispatch=None, cache=None, seed=0,
+                 **executor_options):
     """One sweep run -> (merged results JSON bytes, metrics bytes, executor)."""
     executor = SweepExecutor(
-        jobs=jobs, seed=seed, cache=cache, dispatch=dispatch
+        jobs=jobs, seed=seed, cache=cache, dispatch=dispatch,
+        **executor_options,
     )
     results = executor.map(noc_latency_task, payloads, kind="noc-latency")
     blob = json.dumps(results, sort_keys=True)
@@ -166,9 +180,9 @@ class TestDispatchBasics:
         local = SweepExecutor(jobs=1).map(echo_task, payloads)
         with worker_hosts(2) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0
+                addresses(hosts), lease_seconds=10.0
             )
-            executor = SweepExecutor(dispatch=coordinator)
+            executor = SweepExecutor(retry=FAST_RETRY, dispatch=coordinator)
             dispatched = executor.map(echo_task, payloads)
             coordinator.close()
         assert dispatched == local
@@ -177,18 +191,18 @@ class TestDispatchBasics:
         doc = coordinator.registry.as_dict()
         assert doc["dispatch.shards_completed"] == 6
         assert doc["dispatch.degraded"] == 0
-        assert coordinator.ledger.counts()["completed"] == 6
+        assert executor.ledger.counts()["completed"] == 6
 
     def test_task_seeds_travel_to_workers(self):
         payloads = [{"x": i} for i in range(4)]
         local = SweepExecutor(jobs=1, seed=123).map(seeded_echo_task, payloads)
         with worker_hosts(2) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0
+                addresses(hosts), lease_seconds=10.0
             )
-            dispatched = SweepExecutor(seed=123, dispatch=coordinator).map(
-                seeded_echo_task, payloads
-            )
+            dispatched = SweepExecutor(
+                seed=123, retry=FAST_RETRY, dispatch=coordinator
+            ).map(seeded_echo_task, payloads)
             coordinator.close()
         assert dispatched == local
         assert all(r["task_seed"] is not None for r in dispatched)
@@ -197,11 +211,12 @@ class TestDispatchBasics:
         """A worker refusing a task is a task failure, not a hang."""
         with worker_hosts(1, task_modules=("repro.parallel.tasks",)) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts),
-                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-                lease_seconds=10.0,
+                addresses(hosts), lease_seconds=10.0,
             )
-            executor = SweepExecutor(dispatch=coordinator)
+            executor = SweepExecutor(
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
+                dispatch=coordinator,
+            )
             with pytest.raises(WorkerFailureError, match="allowlist"):
                 executor.map(echo_task, [{"x": 1}])
             coordinator.close()
@@ -209,11 +224,12 @@ class TestDispatchBasics:
     def test_task_exception_exhausts_attempt_budget(self):
         with worker_hosts(1) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts),
-                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-                lease_seconds=10.0,
+                addresses(hosts), lease_seconds=10.0,
             )
-            executor = SweepExecutor(dispatch=coordinator)
+            executor = SweepExecutor(
+                retry=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
+                dispatch=coordinator,
+            )
             with pytest.raises(WorkerFailureError) as excinfo:
                 executor.map(always_fails_task, [{"x": 1}])
             coordinator.close()
@@ -221,18 +237,68 @@ class TestDispatchBasics:
         assert "permanent failure" in str(excinfo.value)
         doc = coordinator.registry.as_dict()
         assert doc["dispatch.task_failures"] == 2
-        assert coordinator.ledger.counts()["failed"] == 1
+        assert executor.ledger.counts()["failed"] == 1
+
+    def test_attempt_timeout_retires_host(self):
+        """The per-attempt timeout binds remote slots too: the host
+        that overran is retired and the attempt is charged."""
+        with worker_hosts(1) as hosts:
+            coordinator = DispatchCoordinator(
+                addresses(hosts), lease_seconds=10.0
+            )
+            executor = SweepExecutor(
+                jobs=2, dispatch=coordinator,
+                retry=RetryPolicy(max_attempts=1, timeout_seconds=0.3),
+            )
+            with pytest.raises(ShardTimeoutError) as excinfo:
+                executor.map(slow_echo_task, [{"x": 1, "delay": 1.5}])
+            coordinator.close()
+        assert excinfo.value.dump["attempts"] == 1
+        assert excinfo.value.dump["pool_terminated"] is False
+        assert coordinator.registry.as_dict()["dispatch.hosts_retired"] == 1
+        assert executor.ledger.counts()["failed"] == 1
+
+    def test_counters_hold_with_many_host_threads(self):
+        """Host threads count into one registry: with more hosts than
+        cores and a short switch interval, no count may be lost."""
+        import sys
+
+        payloads = [{"x": i} for i in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with worker_hosts(8) as hosts:
+                coordinator = DispatchCoordinator(
+                    addresses(hosts), lease_seconds=10.0,
+                    chaos=ChaosProxy([SlowHost(shard_index=i, heartbeats=5)
+                                      for i in range(48)]),
+                )
+                executor = SweepExecutor(
+                    retry=FAST_RETRY, dispatch=coordinator
+                )
+                dispatched = executor.map(echo_task, payloads)
+                coordinator.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert dispatched == SweepExecutor().map(echo_task, payloads)
+        doc = coordinator.registry.as_dict()
+        assert doc["dispatch.shards_dispatched"] == 48
+        assert doc["dispatch.shards_completed"] == 48
+        assert doc["dispatch.heartbeats"] == 48 * 5
+        assert executor.ledger.counts()["completed"] == 48
 
     def test_pooled_worker_sends_heartbeats(self):
         """A host whose pool outlives the heartbeat interval renews its
         lease instead of losing it."""
         with worker_hosts(
-            1, inline=False, jobs=1, heartbeat_seconds=0.05
+            1, inline=False, heartbeat_seconds=0.05
         ) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0
+                addresses(hosts), lease_seconds=10.0
             )
-            result = SweepExecutor(dispatch=coordinator).map(
+            result = SweepExecutor(
+                retry=FAST_RETRY, dispatch=coordinator
+            ).map(
                 slow_echo_task, [{"x": 1, "delay": 0.3}]
             )
             coordinator.close()
@@ -240,6 +306,38 @@ class TestDispatchBasics:
         doc = coordinator.registry.as_dict()
         assert doc["dispatch.heartbeats"] >= 1
         assert doc["dispatch.lease_expiries"] == 0
+
+
+class TestPlacementInvariantRetries:
+    def test_flaky_task_is_one_retry_wherever_it_runs(self, tmp_path):
+        """A task that fails once and then succeeds is one retry locally
+        and on a worker host alike, so the merged exposition does not
+        depend on placement."""
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.0)
+
+        def run(marker, dispatch=None):
+            diag.reset()
+            executor = SweepExecutor(retry=policy, dispatch=dispatch)
+            results = executor.map(
+                flaky_task, [{"x": 1, "marker": str(tmp_path / marker)}]
+            )
+            return (
+                results,
+                executor.retries,
+                diag.count("parallel.task_retry"),
+                render_openmetrics(executor.merged_registry()),
+            )
+
+        local = run("local")
+        with worker_hosts(1) as hosts:
+            coordinator = DispatchCoordinator(
+                addresses(hosts), lease_seconds=10.0
+            )
+            dispatched = run("dispatched", coordinator)
+            coordinator.close()
+        assert local[:3] == ([{"x": 1}], 1, 1)
+        assert dispatched == local
+        assert "parallel_retries 1" in local[3]
 
 
 class TestByteIdentityMatrix:
@@ -257,11 +355,11 @@ class TestByteIdentityMatrix:
         # (b) two-host dispatch
         with worker_hosts(2, task_modules=("repro.parallel.tasks",)) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=30.0,
-                ledger=str(tmp_path / "ledger.json"),
+                addresses(hosts), lease_seconds=30.0,
             )
             two_blob, two_metrics, executor = run_scenario(
-                payloads, dispatch=coordinator
+                payloads, dispatch=coordinator, retry=FAST_RETRY,
+                ledger=str(tmp_path / "ledger.json"),
             )
             coordinator.close()
         assert two_blob == ref_blob
@@ -278,10 +376,10 @@ class TestByteIdentityMatrix:
             chaos = ChaosProxy([HostCrash(shard_index=1)])
             coordinator = DispatchCoordinator(
                 addresses(hosts), lease_seconds=30.0, chaos=chaos,
-                sleep=sleeps.append,
             )
-            crash_blob, crash_metrics, _ = run_scenario(
-                payloads, dispatch=coordinator
+            crash_blob, crash_metrics, executor = run_scenario(
+                payloads, dispatch=coordinator,
+                retry=DEFAULT_DISPATCH_RETRY_POLICY, sleep=sleeps.append,
             )
             coordinator.close()
         assert crash_blob == ref_blob
@@ -296,17 +394,17 @@ class TestByteIdentityMatrix:
         assert doc["dispatch.shards_completed"] == len(payloads)
         # the re-dispatch paced itself with the policy's first backoff
         assert sleeps == [
-            coordinator.retry.backoff_delay(1, rng=None)
+            executor.retry.backoff_delay(1, rng=None)
         ]
 
         # (d) every host dead: degraded local drain, bytes still hold.
         diag.reset()
         coordinator = DispatchCoordinator(
             [dead_address(), dead_address()],
-            retry=FAST_RETRY, lease_seconds=5.0, connect_timeout=0.2,
+            lease_seconds=5.0, connect_timeout=0.2,
         )
         dead_blob, dead_metrics, executor = run_scenario(
-            payloads, dispatch=coordinator
+            payloads, dispatch=coordinator, retry=FAST_RETRY,
         )
         coordinator.close()
         assert dead_blob == ref_blob
@@ -317,7 +415,7 @@ class TestByteIdentityMatrix:
         assert doc["dispatch.local_fallback_shards"] == len(
             payloads
         )
-        assert coordinator.ledger.counts()["local"] == len(payloads)
+        assert executor.ledger.counts()["local"] == len(payloads)
         assert diag.count("dispatch.degraded") == 1
         # degraded shards drained through the local paths exactly once
         assert executor.tasks_run == len(payloads)
@@ -330,12 +428,11 @@ class TestChaosPaths:
         local = SweepExecutor(jobs=1).map(echo_task, payloads)
         with worker_hosts(n_hosts) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0,
-                chaos=chaos,
+                addresses(hosts), lease_seconds=10.0, chaos=chaos,
             )
-            dispatched = SweepExecutor(dispatch=coordinator).map(
-                echo_task, payloads
-            )
+            dispatched = SweepExecutor(
+                retry=FAST_RETRY, dispatch=coordinator
+            ).map(echo_task, payloads)
             coordinator.close()
         assert dispatched == local
         return coordinator
@@ -369,21 +466,6 @@ class TestChaosPaths:
         with pytest.raises(ConfigurationError):
             ChaosProxy(["not a spec"])
 
-    def test_degraded_without_local_runner_raises(self):
-        coordinator = DispatchCoordinator(
-            [dead_address()], retry=FAST_RETRY, connect_timeout=0.2
-        )
-
-        class Shard:
-            index = 0
-            payload = {"x": 1}
-            label = "s0"
-            task_seed = None
-            digest = None
-
-        with pytest.raises(DispatchError, match="no local\\s+runner"):
-            coordinator.run(echo_task, [Shard()])
-
 
 class TestCacheResume:
     def test_resume_skips_cached_shards(self, tmp_path):
@@ -399,10 +481,12 @@ class TestCacheResume:
 
         with worker_hosts(2) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0,
+                addresses(hosts), lease_seconds=10.0,
+            )
+            executor = SweepExecutor(
+                cache=cache_dir, retry=FAST_RETRY, dispatch=coordinator,
                 ledger=str(tmp_path / "ledger.json"),
             )
-            executor = SweepExecutor(cache=cache_dir, dispatch=coordinator)
             resumed = executor.map(echo_task, payloads, kind="echo")
             coordinator.close()
 
@@ -423,18 +507,20 @@ class TestCacheResume:
         cache_dir = str(tmp_path / "cache")
         with worker_hosts(1) as hosts:
             coordinator = DispatchCoordinator(
-                addresses(hosts), retry=FAST_RETRY, lease_seconds=10.0
+                addresses(hosts), lease_seconds=10.0
             )
-            first = SweepExecutor(cache=cache_dir, dispatch=coordinator).map(
-                echo_task, payloads, kind="echo"
-            )
+            first = SweepExecutor(
+                cache=cache_dir, retry=FAST_RETRY, dispatch=coordinator
+            ).map(echo_task, payloads, kind="echo")
             coordinator.close()
         # Second run: fully warm cache; the dead coordinator is never
         # consulted because no shard misses.
         coordinator = DispatchCoordinator(
-            [dead_address()], retry=FAST_RETRY, connect_timeout=0.2
+            [dead_address()], connect_timeout=0.2
         )
-        executor = SweepExecutor(cache=cache_dir, dispatch=coordinator)
+        executor = SweepExecutor(
+            cache=cache_dir, retry=FAST_RETRY, dispatch=coordinator
+        )
         second = executor.map(echo_task, payloads, kind="echo")
         assert second == first
         assert executor.tasks_cached == 3

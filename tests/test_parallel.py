@@ -377,6 +377,29 @@ class TestShardTimeout:
         # the stuck workers were killed, not left burning a core
         assert executor_mod._POOL is None
 
+    def test_single_shard_times_out_too(self):
+        """At jobs > 1 a lone uncached shard goes to the pool like any
+        other, so its per-attempt budget still applies."""
+        from repro.parallel import executor as executor_mod
+
+        executor = SweepExecutor(
+            jobs=2, retry=RetryPolicy(max_attempts=1, timeout_seconds=0.5)
+        )
+        with pytest.raises(ShardTimeoutError) as excinfo:
+            executor.map(sleepy_task, [{"delay": 5.0}])
+        assert excinfo.value.task_index == 0
+        assert excinfo.value.dump["attempts"] == 1
+        assert excinfo.value.dump["pool_terminated"] is True
+        assert executor_mod._POOL is None
+
+    def test_inline_timeout_rejected(self):
+        """An inline attempt cannot be interrupted, so a timeout at
+        jobs=1 would be silently ignored: refuse it up front."""
+        with pytest.raises(ConfigurationError, match="jobs > 1"):
+            SweepExecutor(
+                jobs=1, retry=RetryPolicy(max_attempts=1, timeout_seconds=0.5)
+            )
+
 
 class TestCacheHits:
     def test_second_sweep_runs_zero_simulations(self, tmp_path):
