@@ -11,7 +11,7 @@ import dataclasses
 
 from repro.analysis.experiments import (
     _mix_names,
-    derive_response_config,
+    config_from_run,
     run_mix,
     staircase_config,
 )
@@ -43,8 +43,10 @@ def _response_channel_closed(scheduler, scheduler_kwargs=None,
     defaults = dataclasses.replace(BENCH_DEFAULTS, cycles=20000)
     plan = None
     if respc:
-        target = derive_response_config(
-            _mix_names("gcc", "mcf"), 0, defaults, rate_scale=0.6
+        base = run_mix(_mix_names("gcc", "mcf"), defaults)
+        target = config_from_run(
+            base.core(0).response_intrinsic, base.cycles_run,
+            defaults.spec, scale=0.6,
         )
         plan = {0: ResponseShapingPlan(config=target, spec=defaults.spec)}
         scheduler = "priority"
@@ -74,12 +76,13 @@ def test_table1_capability_matrix(benchmark, record_result):
         cs_plan = RequestShapingPlan(
             config=constant_rate_config(spec, 32), spec=spec
         )
+        # BDC is ReqC plus RespC: its cells reuse their probes.
+        reqc_fixed = _request_stream_fixed(reqc_plan)
+        respc_closed = _response_channel_closed("frfcfs", respc=True)
         rows = [
-            ["ReqC", _request_stream_fixed(reqc_plan), "No (by design)", "High"],
-            ["RespC", "No (by design)",
-             _response_channel_closed("frfcfs", respc=True), "High"],
-            ["BDC", _request_stream_fixed(reqc_plan),
-             _response_channel_closed("frfcfs", respc=True), "High"],
+            ["ReqC", reqc_fixed, "No (by design)", "High"],
+            ["RespC", "No (by design)", respc_closed, "High"],
+            ["BDC", reqc_fixed, respc_closed, "High"],
             ["TP", "No",
              _response_channel_closed("tp", {"turn_length": 128}),
              "Impacted by #domains"],

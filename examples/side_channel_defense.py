@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis.experiments import (
     ExperimentDefaults,
     _mix_names,
-    derive_response_config,
+    config_from_run,
     run_mix,
 )
 from repro.security.attacks import corunner_distinguishability
@@ -46,8 +46,11 @@ def main() -> None:
     print(f"   accumulated response-time drift: {abs(drift[-1]):.0f} cycles\n")
 
     print("2) protected with Response Camouflage ...")
-    target = derive_response_config(
-        _mix_names(ADVERSARY, "mcf"), 0, DEFAULTS, rate_scale=0.6
+    # Target: the adversary's response distribution next to mcf,
+    # measured on the unprotected run above and tightened slightly.
+    target = config_from_run(
+        base_mcf.core(0).response_intrinsic, base_mcf.cycles_run,
+        DEFAULTS.spec, scale=0.6,
     )
     plan = {
         0: ResponseShapingPlan(

@@ -16,9 +16,9 @@ from repro.analysis.experiments import (
     ExperimentDefaults,
     bdc_comparison,
     config_from_histogram,
+    config_from_run,
     covert_channel_experiment,
     covert_interference_experiment,
-    derive_request_config,
     measure_mi_suite,
     respc_context_experiment,
     reqc_speedup_experiment,
@@ -36,9 +36,9 @@ __all__ = [
     "calibrate_suite",
     "check_substitution_claims",
     "config_from_histogram",
+    "config_from_run",
     "covert_channel_experiment",
     "covert_interference_experiment",
-    "derive_request_config",
     "format_table",
     "measure_mi_suite",
     "respc_context_experiment",

@@ -27,6 +27,7 @@ from repro.ga.online import OnlineGaTuner, ShaperHandle, TunerConfig
 from repro.security.attacks import bit_error_rate, decode_covert_key
 from repro.security.leakage import accumulated_response_difference
 from repro.security.mutual_information import (
+    event_times,
     interarrival_mi,
     windowed_rate_mi,
 )
@@ -204,23 +205,22 @@ def config_from_histogram(
     return BinConfiguration(tuple(credits))
 
 
-def derive_request_config(
-    benchmark: str,
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    bandwidth_scale: float = 1.0,
-    core_slot: int = 0,
+def config_from_run(
+    histogram: InterArrivalHistogram,
+    cycles_run: int,
+    spec: BinSpec,
+    scale: float = 1.0,
 ) -> BinConfiguration:
-    """Profile a program alone and build a matching request config.
+    """A config set to "the distribution of workload X" from a run in hand.
 
-    ``bandwidth_scale`` scales the credit budget relative to the
-    measured intrinsic rate (1.0 = just enough for the intrinsic
-    traffic on average).
+    The rate is the histogram's event count over the run's
+    ``cycles_run``, times ``scale`` (1.0 = just enough credits for the
+    measured traffic on average).  Simulates nothing: callers pass the
+    histogram of a run they already hold.  The rate is computed before
+    scaling, so a scaled budget rounds exactly as it always has.
     """
-    report = run_alone(benchmark, defaults, core_slot=core_slot)
-    stats = report.core(0)
-    hist = stats.request_intrinsic
-    rate = hist.total / max(1, report.cycles_run)
-    return config_from_histogram(hist, rate * bandwidth_scale, defaults.spec)
+    rate = histogram.total / max(1, cycles_run)
+    return config_from_histogram(histogram, rate * scale, spec)
 
 
 def staircase_config(
@@ -258,20 +258,6 @@ def staircase_config(
     return BinConfiguration(tuple(credits))
 
 
-def derive_response_config(
-    benchmarks: Sequence[str],
-    adversary_core: int,
-    defaults: ExperimentDefaults = ExperimentDefaults(),
-    rate_scale: float = 1.0,
-) -> BinConfiguration:
-    """Measure a mix's adversary response distribution → RespC config."""
-    report = run_mix(benchmarks, defaults)
-    stats = report.core(adversary_core)
-    hist = stats.response_intrinsic
-    rate = hist.total / max(1, report.cycles_run)
-    return config_from_histogram(hist, rate * rate_scale, defaults.spec)
-
-
 # ---------------------------------------------------------------------------
 # Figure 12 — ReqC vs the constant rate shaper
 # ---------------------------------------------------------------------------
@@ -295,8 +281,8 @@ def reqc_speedup_experiment(
     programs are unaffected — the Figure 12 pattern.
     """
     spec = defaults.spec
-    intrinsic = run_alone(benchmark, defaults).core(0).request_intrinsic
     base_report = run_alone(benchmark, defaults)
+    intrinsic = base_report.core(0).request_intrinsic
     rate = intrinsic.total / max(1, base_report.cycles_run)
     target_interval = 1.0 / max(rate * headroom, 1e-9)
     # The constant shaper's interval must be one of the bin edges.
@@ -349,7 +335,9 @@ def respc_context_experiment(
 
     Returns per-context dicts with the ADVERSARY performance slowdown
     and the overall throughput slowdown of RespC relative to no
-    shaping (>1 = shaping made it slower).
+    shaping (>1 = shaping made it slower).  Each context's target is
+    its unshaped baseline's ADV response distribution, so every
+    configuration is simulated once.
     """
     ctx_a, ctx_b = contexts
     results: Dict[str, Dict[str, float]] = {}
@@ -359,8 +347,11 @@ def respc_context_experiment(
         for ctx in contexts
     }
     target_config = {
-        ctx: derive_response_config(_mix_names(adversary, ctx), 0, defaults)
-        for ctx in contexts
+        ctx: config_from_run(
+            report.core(0).response_intrinsic, report.cycles_run,
+            defaults.spec,
+        )
+        for ctx, report in baseline.items()
     }
 
     for ctx, other in ((ctx_a, ctx_b), (ctx_b, ctx_a)):
@@ -399,7 +390,8 @@ def fig9_experiment(
 
     The adversary runs once next to each context; the difference of its
     cumulative response-time curves is returned for FR-FCFS (grows)
-    and for RespC with a *fixed* target distribution (stays flat).
+    and for RespC with a *fixed* target distribution (stays flat),
+    read from the context-b baseline run.
     """
     ctx_a, ctx_b = contexts
     base_a = run_mix(_mix_names(adversary, ctx_a), defaults)
@@ -411,8 +403,9 @@ def fig9_experiment(
     # The target is derived from the *slower* context (higher-intensity
     # co-runners) and tightened slightly, so the credit schedule — not
     # the co-runner-dependent service rate — binds in both contexts.
-    target = derive_response_config(
-        _mix_names(adversary, ctx_b), 0, defaults, rate_scale=0.6
+    target = config_from_run(
+        base_b.core(0).response_intrinsic, base_b.cycles_run,
+        defaults.spec, scale=0.6,
     )
     plan = {
         0: ResponseShapingPlan(
@@ -479,19 +472,22 @@ def bdc_comparison(
     # (the GA would never pick such a point).  Optionally refined
     # online by the GA when ``tune``.
     baseline = run_mix(names, defaults)
-    request_plans = {}
-    for core in (1, 2, 3):
-        hist = baseline.core(core).request_intrinsic
-        rate = hist.total / max(1, baseline.cycles_run)
-        request_plans[core] = RequestShapingPlan(
-            config=config_from_histogram(hist, rate * 1.1, defaults.spec),
+    request_plans = {
+        core: RequestShapingPlan(
+            config=config_from_run(
+                baseline.core(core).request_intrinsic, baseline.cycles_run,
+                defaults.spec, scale=1.1,
+            ),
             spec=defaults.spec,
         )
-    resp_hist = baseline.core(0).response_intrinsic
-    resp_rate = resp_hist.total / max(1, baseline.cycles_run)
+        for core in (1, 2, 3)
+    }
     response_plans = {
         0: ResponseShapingPlan(
-            config=config_from_histogram(resp_hist, resp_rate, defaults.spec),
+            config=config_from_run(
+                baseline.core(0).response_intrinsic, baseline.cycles_run,
+                defaults.spec,
+            ),
             spec=defaults.spec,
         )
     }
@@ -644,13 +640,6 @@ def measure_mi_suite(
     spec = BinSpec(edges=defaults.spec.edges, replenish_period=replenish_period)
     names = [adversary, protected]
 
-    def times(hist: InterArrivalHistogram) -> List[int]:
-        out, t = [], 0
-        for g in hist.gaps:
-            t += g
-            out.append(t)
-        return out
-
     def mi_of(report: SystemReport) -> Dict[str, float]:
         stats = report.core(1)
         intrinsic = stats.request_intrinsic
@@ -659,8 +648,8 @@ def measure_mi_suite(
             intrinsic.gaps, shaped.gaps, spec, bias_correction=True
         )
         windowed = windowed_rate_mi(
-            times(intrinsic), times(shaped), window_cycles,
-            report.cycles_run, bias_correction=True,
+            event_times(intrinsic.gaps), event_times(shaped.gaps),
+            window_cycles, report.cycles_run, bias_correction=True,
         )
         return {"paired": paired, "windowed": windowed}
 
@@ -675,7 +664,7 @@ def measure_mi_suite(
         spec,
         bias_correction=True,
     )
-    base_times = times(base_stats.request_intrinsic)
+    base_times = event_times(base_stats.request_intrinsic.gaps)
 
     rate = base_stats.request_intrinsic.total / max(1, base.cycles_run)
     camo_config = staircase_config(spec, rate * 1.2)
@@ -806,11 +795,6 @@ def covert_interference_experiment(
     (denying it the latency measurement).
     """
     from repro.security.prober import prober_trace
-    from repro.workloads.covert import (
-        CovertChannelConfig,
-        covert_sender_trace,
-        key_to_bits,
-    )
 
     if defense not in (None, "reqc", "respc"):
         raise ConfigurationError(f"unknown defense {defense!r}")
@@ -908,6 +892,45 @@ def _resolve_executor(executor, jobs: int, cache_dir: Optional[str],
     return SweepExecutor(jobs=jobs, seed=seed, cache=cache_dir)
 
 
+def _base_run(runner, benchmark: str, defaults: ExperimentDefaults,
+              cs_spec: Optional[BinSpec] = None, context: str = ""):
+    """Stage 0 of a single-program sweep: the unshaped alone run.
+
+    Returns ``(base, rate, cs_interval)``: the ``alone-base`` result,
+    its intrinsic request rate, and — only when ``cs_spec`` is given —
+    the CS anchor's interval at that rate (``None`` otherwise, so no
+    clamp diagnostic fires for a sweep without a CS anchor).
+    """
+    from repro.parallel.tasks import alone_base_task, make_run_payload
+
+    [base] = runner.map(
+        alone_base_task, [make_run_payload(benchmark, defaults)],
+        kind="alone-base", labels=[f"{benchmark}:base"],
+    )
+    rate = len(base["gaps"]) / max(1, base["cycles_run"])
+    cs_interval = None
+    if cs_spec is not None:
+        cs_interval = constant_rate_interval_for(
+            cs_spec, 1.0 / max(rate, 1e-9), context=f"{context}:{benchmark}"
+        )
+    return base, rate, cs_interval
+
+
+def _point_payload(benchmark: str, defaults: ExperimentDefaults,
+                   spec: BinSpec, window_cycles: int, label: str,
+                   config: Optional[BinConfiguration], **extra) -> Dict:
+    """One shaped (or, with ``config=None``, unshaped) sweep point."""
+    from repro.parallel.tasks import make_run_payload
+
+    payload = make_run_payload(benchmark, defaults, spec=spec)
+    payload["label"] = label
+    payload["credits"] = None if config is None else list(config.credits)
+    payload["window_cycles"] = window_cycles
+    payload["detect_seed"] = defaults.seed
+    payload.update(extra)
+    return payload
+
+
 def tradeoff_sweep(
     benchmark: str = "apache",
     defaults: ExperimentDefaults = ExperimentDefaults(),
@@ -935,48 +958,28 @@ def tradeoff_sweep(
     ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md); the
     returned points additionally carry each run's ``digest``.
     """
-    from repro.parallel.tasks import (
-        _event_times,
-        alone_base_task,
-        make_run_payload,
-        tradeoff_point_task,
-    )
+    from repro.parallel.tasks import tradeoff_point_task
 
     spec = BinSpec(edges=defaults.spec.edges, replenish_period=replenish_period)
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
-    )
-    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-
     # CS anchor: constant interval near the program's average rate.
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(base_rate, 1e-9), context=f"tradeoff:{benchmark}"
+    base, base_rate, cs_interval = _base_run(
+        runner, benchmark, defaults, cs_spec=spec, context="tradeoff"
     )
-
-    def point_payload(label: str, config: BinConfiguration) -> Dict:
-        payload = make_run_payload(benchmark, defaults, spec=spec)
-        payload["credits"] = list(config.credits)
-        payload["window_cycles"] = window_cycles
-        payload["label"] = label
-        payload["detect_seed"] = defaults.seed
-        return payload
-
-    shaped = [point_payload("cs", constant_rate_config(spec, cs_interval))]
-    for scale in scales:
-        shaped.append(
-            point_payload(
-                f"camo-x{scale}", staircase_config(spec, base_rate * scale)
-            )
-        )
+    points = [("cs", constant_rate_config(spec, cs_interval))] + [
+        (f"camo-x{scale}", staircase_config(spec, base_rate * scale))
+        for scale in scales
+    ]
+    shaped = [
+        _point_payload(benchmark, defaults, spec, window_cycles, label, config)
+        for label, config in points
+    ]
     shaped_points = runner.map(
         tradeoff_point_task, shaped, kind="tradeoff-point",
         labels=[p["label"] for p in shaped],
     )
 
-    base_times = _event_times(base["gaps"])
+    base_times = event_times(base["gaps"])
     anchor_mi = windowed_rate_mi(
         base_times, base_times, window_cycles, base["cycles_run"],
         bias_correction=True,
@@ -1039,44 +1042,28 @@ def detect_suite(
     byte-identical across repeated runs and across ``jobs`` values.
     """
     from repro.common.util import canonical_json_digest
-    from repro.parallel.tasks import (
-        alone_base_task,
-        detect_point_task,
-        make_run_payload,
-    )
+    from repro.parallel.tasks import detect_point_task
 
     spec = BinSpec(
         edges=defaults.spec.edges, replenish_period=replenish_period
     )
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
+    _base, base_rate, cs_interval = _base_run(
+        runner, benchmark, defaults, cs_spec=spec, context="detect"
     )
-    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
-    cs_interval = constant_rate_interval_for(
-        spec, 1.0 / max(base_rate, 1e-9), context=f"detect:{benchmark}"
-    )
-    reference = staircase_config(spec, base_rate)
-
-    def payload(label: str, config: Optional[BinConfiguration],
-                target: BinConfiguration) -> Dict:
-        doc = make_run_payload(benchmark, defaults, spec=spec)
-        doc["label"] = label
-        doc["credits"] = None if config is None else list(config.credits)
-        doc["target_credits"] = list(target.credits)
-        doc["window_cycles"] = window_cycles
-        doc["detect_seed"] = defaults.seed
-        return doc
-
-    payloads = [
-        payload("no-shaping", None, reference),
-        payload("cs", constant_rate_config(spec, cs_interval),
-                constant_rate_config(spec, cs_interval)),
+    cs = constant_rate_config(spec, cs_interval)
+    rungs = [
+        ("no-shaping", None, staircase_config(spec, base_rate)),
+        ("cs", cs, cs),
     ]
     for scale in scales:
         config = staircase_config(spec, base_rate * scale)
-        payloads.append(payload(f"camo-x{scale}", config, config))
+        rungs.append((f"camo-x{scale}", config, config))
+    payloads = [
+        _point_payload(benchmark, defaults, spec, window_cycles, label,
+                       config, target_credits=list(target.credits))
+        for label, config, target in rungs
+    ]
     rows = runner.map(
         detect_point_task, payloads, kind="detect-point",
         labels=[p["label"] for p in payloads],
@@ -1114,30 +1101,18 @@ def scalability_experiment(
     baseline) mixes are independent simulations and fan out through
     ``jobs``/``cache_dir``/``executor`` (see docs/parallel.md).
     """
-    from repro.parallel.tasks import (
-        alone_base_task,
-        make_run_payload,
-        mix_slowdown_task,
-    )
+    from repro.parallel.tasks import make_mix_payload, mix_slowdown_task
 
     runner = _resolve_executor(executor, jobs, cache_dir, defaults.seed)
-    [base] = runner.map(
-        alone_base_task, [make_run_payload(benchmark, defaults)],
-        kind="alone-base", labels=[f"{benchmark}:base"],
-    )
-    alone_ipc = base["ipc"]
-    base_rate = len(base["gaps"]) / max(1, base["cycles_run"])
+    base, base_rate, _cs = _base_run(runner, benchmark, defaults)
     camo_credits = list(
         staircase_config(defaults.spec, base_rate * 1.15).credits
     )
 
     def mix_payload(n: int, **kwargs) -> Dict:
-        payload = make_run_payload(benchmark, defaults)
-        del payload["benchmark"]
-        payload["names"] = [benchmark] * n
-        payload["alone_ipcs"] = [alone_ipc] * n
-        payload.update(kwargs)
-        return payload
+        return make_mix_payload(
+            [benchmark] * n, defaults, [base["ipc"]] * n, **kwargs
+        )
 
     payloads, labels = [], []
     for n in core_counts:

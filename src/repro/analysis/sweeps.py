@@ -23,7 +23,8 @@ from repro.analysis.experiments import (
     _resolve_executor,
 )
 from repro.parallel.tasks import (
-    alone_ipc_task,
+    alone_base_task,
+    make_mix_payload,
     make_run_payload,
     mesh_position_task,
     mix_slowdown_task,
@@ -32,26 +33,18 @@ from repro.parallel.tasks import (
 
 
 def _alone_ipcs(names: Sequence[str], defaults: ExperimentDefaults, runner):
+    """Each program's IPC alone at its mix slot (the slowdown
+    denominators)."""
     payloads = []
     for slot, name in enumerate(names):
         payload = make_run_payload(name, defaults)
         payload["core_slot"] = slot
         payloads.append(payload)
     rows = runner.map(
-        alone_ipc_task, payloads, kind="alone-ipc",
+        alone_base_task, payloads, kind="alone-base",
         labels=[f"{name}:slot{slot}" for slot, name in enumerate(names)],
     )
     return [row["ipc"] for row in rows]
-
-
-def _mix_payload(names: Sequence[str], defaults: ExperimentDefaults,
-                 alone, **kwargs) -> Dict:
-    payload = make_run_payload(names[0], defaults)
-    del payload["benchmark"]
-    payload["names"] = list(names)
-    payload["alone_ipcs"] = list(alone)
-    payload.update(kwargs)
-    return payload
 
 
 def tp_turn_length_sweep(
@@ -75,7 +68,7 @@ def tp_turn_length_sweep(
     rows = runner.map(
         mix_slowdown_task,
         [
-            _mix_payload(
+            make_mix_payload(
                 names, defaults, alone, scheduler="tp",
                 scheduler_kwargs={"turn_length": turn},
             )
@@ -113,7 +106,7 @@ def fs_interval_sweep(
     rows = runner.map(
         mix_slowdown_task,
         [
-            _mix_payload(
+            make_mix_payload(
                 names, defaults, alone, scheduler="fs",
                 scheduler_kwargs={"interval": interval},
                 bank_partitioning=bank_partitioning,

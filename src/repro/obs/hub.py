@@ -51,16 +51,7 @@ class ObservabilityConfig:
     sample_limit: Optional[int] = None
     monitor: bool = False
     monitor_interval: int = 2048
-    monitor_tvd_threshold: float = 0.25
-    monitor_min_events: int = 32
-    monitor_mi_window: int = 4096
     monitor_detect: bool = False
-    monitor_detect_window: int = 256
-    monitor_detect_min_pairs: int = 32
-    monitor_auc_threshold: float = 0.8
-    monitor_xcorr_threshold: float = 0.9
-    monitor_detect_seed: int = 0
-    monitor_final_min_pairs: int = 8
     noc_grant_trace_limit: Optional[int] = None
     profile: bool = False
 
@@ -106,17 +97,8 @@ class Observability:
         self.monitor: Optional[ShapingMonitor] = (
             ShapingMonitor(
                 interval=self.config.monitor_interval,
-                tvd_threshold=self.config.monitor_tvd_threshold,
-                min_events=self.config.monitor_min_events,
-                mi_window=self.config.monitor_mi_window,
                 tracer=self.tracer,
                 detect=self.config.monitor_detect,
-                detect_window=self.config.monitor_detect_window,
-                detect_min_pairs=self.config.monitor_detect_min_pairs,
-                auc_threshold=self.config.monitor_auc_threshold,
-                xcorr_threshold=self.config.monitor_xcorr_threshold,
-                detect_seed=self.config.monitor_detect_seed,
-                final_min_pairs=self.config.monitor_final_min_pairs,
             )
             if self.config.monitor
             else None
@@ -147,22 +129,14 @@ class Observability:
     # -- run-loop hooks (called by System) ---------------------------------
 
     def on_cycle_end(self, cycle: int) -> None:
-        """End of the tick that ran at ``cycle``."""
+        """Every cycle up to ``cycle`` has run: the tick at ``cycle``
+        ended, or a skip over a span ending at ``cycle`` is landing."""
         if self.sampler is not None:
             self.sampler.advance(cycle)
         if self.monitor is not None:
             self.monitor.advance(cycle)
         if self.publisher is not None:
             self.publisher.advance(cycle)
-
-    def on_skip(self, up_to_cycle: int) -> None:
-        """A next-event skip is landing; fill boundaries ≤ ``up_to_cycle``."""
-        if self.sampler is not None:
-            self.sampler.fill(up_to_cycle)
-        if self.monitor is not None:
-            self.monitor.fill(up_to_cycle)
-        if self.publisher is not None:
-            self.publisher.fill(up_to_cycle)
 
     def on_run_end(self, cycle: int) -> None:
         """The run loop finished at ``cycle``; evaluate the monitor's

@@ -259,19 +259,14 @@ class IntervalSampler:
         )
 
     def advance(self, cycle: int) -> None:
-        """Record any sample boundaries reached by the tick at ``cycle``."""
-        while cycle >= self._next:
-            self._take(self._next)
-            self._next += self.interval
+        """Record every sample boundary up to ``cycle``.
 
-    def fill(self, up_to_cycle: int) -> None:
-        """Closed-form fill across a skipped span ending at ``up_to_cycle``.
-
-        Emits a sample for every boundary in the span with the current
-        probe values — exact because the columnar engine only skips
-        spans in which no component state changes.
+        Called after the tick at ``cycle`` and, across a skipped span,
+        with the span's last cycle: every boundary in the span gets the
+        current probe values — exact because the columnar engine only
+        skips spans in which no component state changes.
         """
-        while self._next <= up_to_cycle:
+        while cycle >= self._next:
             self._take(self._next)
             self._next += self.interval
 

@@ -253,15 +253,10 @@ class ShapingMonitor:
     # -- checkpointing -----------------------------------------------------
 
     def advance(self, cycle: int) -> None:
-        """Run any checkpoints reached by the tick at ``cycle``."""
+        """Run every checkpoint up to ``cycle`` (the tick at ``cycle``,
+        or the last cycle of a skipped span — state is frozen there, so
+        the current histograms are exact at every boundary)."""
         while cycle >= self._next:
-            self._check(self._next)
-            self._next += self.interval
-
-    def fill(self, up_to_cycle: int) -> None:
-        """Checkpoints inside a skipped span (state is frozen, so the
-        current histograms are exact at every boundary)."""
-        while self._next <= up_to_cycle:
             self._check(self._next)
             self._next += self.interval
 

@@ -18,11 +18,11 @@ Two pieces:
   a half-ticked system and the run loop never blocks on a slow client.
 
 * :class:`ServePublisher` — the cadence hook wired into
-  :meth:`Observability.on_cycle_end` / :meth:`on_skip` with the same
-  advance/fill discipline as the interval sampler.  Every ``interval``
-  cycles it refreshes the derived gauges (probe values, profiler
-  families), renders the exposition and monitor document, and pushes
-  them to the server.
+  :meth:`Observability.on_cycle_end` with the same ``advance``
+  discipline as the interval sampler.  Every ``interval`` cycles it
+  refreshes the derived gauges (probe values, profiler families),
+  renders the exposition and monitor document, and pushes them to the
+  server.
 
 The publisher holds thread and socket handles, so it is excluded from
 pickling by :meth:`Observability.__getstate__` — snapshots taken
@@ -195,9 +195,9 @@ class ServePublisher:
     """Cycle-cadence bridge from an :class:`Observability` hub to a
     :class:`MetricsServer`.
 
-    ``advance``/``fill`` follow the sampler's closed-form discipline;
-    a span skip that crosses several publish boundaries publishes once,
-    at the span end, with the (unchanged) span-start state.
+    ``advance`` follows the sampler's closed-form discipline; a span
+    skip that crosses several publish boundaries publishes once, at the
+    span end, with the (unchanged) span-start state.
     """
 
     def __init__(
@@ -222,12 +222,6 @@ class ServePublisher:
             while self._next <= cycle:
                 self._next += self.interval
             self.publish(cycle)
-
-    def fill(self, up_to_cycle: int) -> None:
-        if up_to_cycle >= self._next:
-            while self._next <= up_to_cycle:
-                self._next += self.interval
-            self.publish(up_to_cycle)
 
     def publish(self, cycle: int, status: str = "ok") -> None:
         """Refresh derived gauges, render, and push to the server."""

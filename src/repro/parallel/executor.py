@@ -53,9 +53,11 @@ merged output:
   alive across ``map`` calls (rebuilt only when more workers are
   needed or the pool broke), with an ``initializer`` that pre-imports
   the simulator stack so the first real task in each worker does not
-  pay the import latency.  Worker reuse is safe for the same reason
-  parallelism is: tasks are pure functions of their payloads and may
-  not mutate module state they expect to see again.
+  pay the import latency, and that exits the worker once its parent
+  is gone (even a SIGKILLed parent leaves no worker behind).  Worker
+  reuse is safe for the same reason parallelism is: tasks are pure
+  functions of their payloads and may not mutate module state they
+  expect to see again.
 * **task chunking** — first attempts go to the pool in contiguous
   chunks (:data:`_CHUNK_ROUNDS` per worker, ``fn`` pickled once per
   chunk) and key/value pairs shared by every payload in a chunk are
@@ -74,6 +76,8 @@ import atexit
 import concurrent.futures
 import inspect
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -175,14 +179,40 @@ def _split_common(
     return shared, deltas
 
 
-def _warm_worker() -> None:  # pragma: no cover - runs in spawned workers
-    """Pool initializer: pre-import the simulator stack.
+#: Seconds between a pool worker's checks that its parent is alive.
+_PARENT_POLL_S = 0.25
 
-    A ``spawn`` worker starts as a bare interpreter; importing the
-    analysis/simulation modules here means the first real task pays
-    only simulation time, not import time.  Best-effort: a failed
-    import just leaves the lazy imports inside the tasks to do it.
+
+def _exit_with_parent(parent: int) -> None:  # pragma: no cover - in workers
+    """Exit this worker once ``parent`` is gone (it was reparented).
+
+    A parent killed with SIGKILL runs no shutdown code, so without this
+    its pool workers — and the ``multiprocessing`` resource tracker
+    they keep a pipe to — would outlive it.  ``os._exit`` skips the
+    interpreter's teardown, which could block on the dead parent.
     """
+    while os.getppid() == parent:
+        # repro-lint: disable-next-line=RL001 — a liveness poll, no result
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _warm_worker(parent: int) -> None:  # pragma: no cover - in workers
+    """Pool initializer: tie the worker to its parent, then pre-import
+    the simulator stack.
+
+    A daemon thread exits the worker when ``parent`` (the pid that
+    built the pool, passed in so a parent already dead is noticed too)
+    dies — see :func:`_exit_with_parent`.  A ``spawn`` worker starts as
+    a bare interpreter; importing the analysis/simulation modules here
+    means the first real task pays only simulation time, not import
+    time.  Best-effort: a failed import just leaves the lazy imports
+    inside the tasks to do it.
+    """
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,),
+        name="repro-parent-watch", daemon=True,
+    ).start()
     try:
         import repro.analysis.experiments  # noqa: F401
         import repro.sim.system  # noqa: F401
@@ -217,6 +247,7 @@ def _warm_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
         max_workers=workers,
         mp_context=multiprocessing.get_context("spawn"),
         initializer=_warm_worker,
+        initargs=(os.getpid(),),
     )
     _POOL = pool
     _POOL_WORKERS = workers

@@ -44,14 +44,6 @@ def _defaults_from(payload: Dict[str, Any]):
     ), spec
 
 
-def _event_times(gaps: Sequence[int]) -> List[int]:
-    out, t = [], 0
-    for gap in gaps:
-        t += gap
-        out.append(t)
-    return out
-
-
 #: Bucket edges (cycles) of the per-point run-length histogram in the
 #: shard registry documents.
 _POINT_CYCLE_EDGES = (
@@ -111,6 +103,18 @@ def make_run_payload(benchmark: str, defaults, spec=None) -> Dict[str, Any]:
     }
 
 
+def make_mix_payload(names: Sequence[str], defaults,
+                     alone_ipcs: Sequence[float], **fields) -> Dict[str, Any]:
+    """A :func:`mix_slowdown_task` payload: the program mix, its
+    slowdown denominators and any baseline/shaping ``fields``."""
+    payload = make_run_payload(names[0], defaults)
+    del payload["benchmark"]
+    payload["names"] = list(names)
+    payload["alone_ipcs"] = list(alone_ipcs)
+    payload.update(fields)
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # alone runs (sweep stage 0: baselines and intrinsic profiles)
 # ---------------------------------------------------------------------------
@@ -122,7 +126,8 @@ def alone_base_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     The result carries everything later stages derive from the base
     run — IPC, cycle count, and the intrinsic request gap sequence —
     so a cached base run reconstructs the sweep's anchors without
-    re-simulating.
+    re-simulating.  ``payload["core_slot"]`` places the program where
+    it sits inside a mix (the Figure 13 alone-IPC denominators).
     """
     from repro.analysis.experiments import run_alone
     from repro.sim.stats import report_digest
@@ -137,23 +142,6 @@ def alone_base_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "ipc": stats.ipc,
         "cycles_run": report.cycles_run,
         "gaps": list(stats.request_intrinsic.gaps),
-        "digest": report_digest(report),
-        "obs_registry": _registry_doc(report),
-    }
-
-
-def alone_ipc_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Alone-IPC measurement at a mix slot (Figure 13 denominators)."""
-    from repro.analysis.experiments import run_alone
-    from repro.sim.stats import report_digest
-
-    defaults, _spec = _defaults_from(payload)
-    report = run_alone(
-        payload["benchmark"], defaults,
-        core_slot=int(payload.get("core_slot", 0)),
-    )
-    return {
-        "ipc": report.core(0).ipc,
         "digest": report_digest(report),
         "obs_registry": _registry_doc(report),
     }
@@ -179,7 +167,7 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.analysis.experiments import run_alone
     from repro.core.bins import BinConfiguration
     from repro.security.detect import detect_report
-    from repro.security.mutual_information import windowed_rate_mi
+    from repro.security.mutual_information import event_times, windowed_rate_mi
     from repro.sim.stats import report_digest
     from repro.sim.system import RequestShapingPlan
 
@@ -191,8 +179,8 @@ def tradeoff_point_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     )
     stats = report.core(0)
     mi = windowed_rate_mi(
-        _event_times(stats.request_intrinsic.gaps),
-        _event_times(stats.request_shaped.gaps),
+        event_times(stats.request_intrinsic.gaps),
+        event_times(stats.request_shaped.gaps),
         int(payload["window_cycles"]),
         report.cycles_run,
         bias_correction=True,
@@ -468,26 +456,17 @@ def ga_fitness_task(
     evaluation run when the payload does not pin one, so every genome
     is scored on a decorrelated, reproducible stream.
     """
-    from repro.analysis.experiments import ExperimentDefaults, run_alone
-    from repro.core.bins import BinConfiguration, BinSpec
+    from repro.analysis.experiments import run_alone
+    from repro.core.bins import BinConfiguration
     from repro.security.detect import detect_report, zoo_score
-    from repro.security.mutual_information import windowed_rate_mi
+    from repro.security.mutual_information import event_times, windowed_rate_mi
     from repro.sim.stats import report_digest
     from repro.sim.system import RequestShapingPlan
 
-    spec = BinSpec(
-        edges=tuple(payload["spec_edges"]),
-        replenish_period=int(payload["spec_period"]),
-    )
     seed = payload.get("seed")
     if seed is None:
         seed = 0 if task_seed is None else task_seed % (1 << 31)
-    defaults = ExperimentDefaults(
-        accesses=int(payload["accesses"]),
-        cycles=int(payload["cycles"]),
-        seed=int(seed),
-        spec=spec,
-    )
+    defaults, spec = _defaults_from(dict(payload, seed=seed))
     config = BinConfiguration(tuple(payload["genome"]))
     report = run_alone(
         payload["benchmark"], defaults,
@@ -497,8 +476,8 @@ def ga_fitness_task(
     base_ipc = float(payload["base_ipc"])
     slowdown = base_ipc / stats.ipc if stats.ipc > 0 else 1e6
     mi = windowed_rate_mi(
-        _event_times(stats.request_intrinsic.gaps),
-        _event_times(stats.request_shaped.gaps),
+        event_times(stats.request_intrinsic.gaps),
+        event_times(stats.request_shaped.gaps),
         int(payload["window_cycles"]),
         report.cycles_run,
         bias_correction=True,

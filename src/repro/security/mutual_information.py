@@ -21,7 +21,8 @@ logarithms base 2 so results read in bits.  Three views are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +100,12 @@ def interarrival_mi(
     x = [spec.bin_of(g) for g in intrinsic_gaps[:n]]
     y = [spec.bin_of(g) for g in shaped_gaps[:n]]
     return mutual_information_bits(x, y, bias_correction=bias_correction)
+
+
+def event_times(gaps: Sequence[int]) -> List[int]:
+    """Release cycles of a gap sequence (its prefix sum), the form
+    :func:`windowed_rate_mi` takes."""
+    return list(accumulate(gaps))
 
 
 def windowed_counts(

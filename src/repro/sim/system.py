@@ -809,7 +809,7 @@ class System:
             # Sample boundaries inside [cycle, target) fall in a span
             # with no state changes: fill them with the current probe
             # values *before* the tick at ``target`` mutates anything.
-            self.observability.on_skip(target - 1)
+            self.observability.on_cycle_end(target - 1)
         self.current_cycle = target
 
     def _deliver(self, txn: MemoryTransaction, cycle: int) -> None:

@@ -7,8 +7,8 @@ import pytest
 from repro.analysis.experiments import (
     ExperimentDefaults,
     config_from_histogram,
+    config_from_run,
     covert_channel_experiment,
-    derive_request_config,
     reqc_speedup_experiment,
     run_alone,
     run_mix,
@@ -78,10 +78,29 @@ class TestConfigDerivation:
         with pytest.raises(ConfigurationError):
             staircase_config(BinSpec(), 0.0)
 
-    def test_derive_request_config_valid(self):
-        config = derive_request_config("gcc", FAST)
+    def test_request_config_from_run_valid(self):
+        report = run_alone("gcc", FAST)
+        config = config_from_run(
+            report.core(0).request_intrinsic, report.cycles_run, FAST.spec
+        )
         assert config.total_credits >= 1
         assert config.num_bins == 10
+
+    def test_config_from_run_scales_rate_before_rounding(self):
+        # (total / cycles) * scale, never total * scale / cycles: the two
+        # orders can round a credit count differently.
+        report = run_alone("mcf", FAST)
+        hist = report.core(0).request_intrinsic
+        rate = hist.total / max(1, report.cycles_run)
+        for scale in (0.6, 1.0, 1.1):
+            assert config_from_run(
+                hist, report.cycles_run, FAST.spec, scale=scale
+            ) == config_from_histogram(hist, rate * scale, FAST.spec)
+
+    def test_config_from_run_zero_cycles(self):
+        hist = InterArrivalHistogram.from_timestamps([0, 4, 8])
+        config = config_from_run(hist, 0, BinSpec())
+        assert config == config_from_histogram(hist, hist.total, BinSpec())
 
 
 class TestRunners:

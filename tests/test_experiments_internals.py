@@ -9,9 +9,10 @@ from repro.analysis.experiments import (
     ExperimentDefaults,
     _avg_slowdown,
     _mix_names,
+    config_from_run,
     constant_rate_interval_for,
-    derive_response_config,
     fig9_experiment,
+    run_mix,
     tradeoff_sweep,
 )
 from repro.core.bins import BinSpec
@@ -97,18 +98,23 @@ class TestDeriveResponseConfig:
     FAST = dataclasses.replace(ExperimentDefaults(), accesses=800,
                                cycles=8000)
 
+    def _baseline(self):
+        return run_mix(_mix_names("gcc", "astar"), self.FAST)
+
     def test_rate_scale_shrinks_budget(self):
-        full = derive_response_config(
-            _mix_names("gcc", "astar"), 0, self.FAST, rate_scale=1.0
-        )
-        tight = derive_response_config(
-            _mix_names("gcc", "astar"), 0, self.FAST, rate_scale=0.5
-        )
+        report = self._baseline()
+        hist = report.core(0).response_intrinsic
+        full = config_from_run(hist, report.cycles_run, self.FAST.spec,
+                               scale=1.0)
+        tight = config_from_run(hist, report.cycles_run, self.FAST.spec,
+                                scale=0.5)
         assert tight.total_credits < full.total_credits
 
     def test_valid_configuration(self):
-        config = derive_response_config(
-            _mix_names("gcc", "astar"), 0, self.FAST
+        report = self._baseline()
+        config = config_from_run(
+            report.core(0).response_intrinsic, report.cycles_run,
+            self.FAST.spec,
         )
         assert config.num_bins == 10
         assert config.total_credits >= 1

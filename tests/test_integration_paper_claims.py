@@ -14,8 +14,8 @@ import pytest
 from repro.analysis.experiments import (
     ExperimentDefaults,
     _mix_names,
+    config_from_run,
     covert_channel_experiment,
-    derive_response_config,
     fig9_experiment,
     measure_mi_suite,
     respc_context_experiment,
@@ -76,8 +76,9 @@ class TestSideChannelClosure:
         d_base = corunner_distinguishability(
             base_a.core(0).memory_latencies, base_b.core(0).memory_latencies
         )
-        target = derive_response_config(
-            _mix_names("gcc", "mcf"), 0, SMALL, rate_scale=0.6
+        target = config_from_run(
+            base_b.core(0).response_intrinsic, base_b.cycles_run,
+            SMALL.spec, scale=0.6,
         )
         plan = {0: ResponseShapingPlan(config=target, spec=SMALL.spec)}
         shaped_a = run_mix(_mix_names("gcc", "astar"), SMALL,

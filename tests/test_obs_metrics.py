@@ -91,7 +91,7 @@ class TestIntervalSampler:
 
     def test_fill_then_advance_equals_per_cycle(self):
         # The engine contract: state is frozen across a skipped span,
-        # so fill(target - 1) then advance(target) must reproduce the
+        # so advance(target - 1) then advance(target) must reproduce the
         # per-cycle sample stream exactly.
         state = {"v": 3}
         per_cycle = IntervalSampler(interval=8)
@@ -102,7 +102,7 @@ class TestIntervalSampler:
         skipping = IntervalSampler(interval=8)
         skipping.add_probe("v", lambda: state["v"])
         skipping.advance(0)
-        skipping.fill(38)     # skip 1..39: nothing changes mid-span
+        skipping.advance(38)  # skip 1..39: nothing changes mid-span
         skipping.advance(39)
         assert skipping.samples == per_cycle.samples
 

@@ -134,7 +134,7 @@ class TestCheckpoints:
 
         def skipping(monitor):
             monitor.advance(0)
-            monitor.fill(398)
+            monitor.advance(398)
             monitor.advance(399)
 
         assert run(per_cycle) == run(skipping)

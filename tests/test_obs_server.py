@@ -115,7 +115,7 @@ class TestServePublisher:
         fake = _FakeServer()
         publisher = ServePublisher(_obs(), fake, interval=100)
         # One skip crossing three boundaries: one publish at span end.
-        publisher.fill(350)
+        publisher.advance(350)
         assert fake.calls == [(350, "ok")]
         assert publisher.next_publish_cycle == 400
 
@@ -152,7 +152,7 @@ class TestAttachedHub:
         assert obs.has_cycle_hooks
         obs.on_cycle_end(49)
         obs.on_cycle_end(50)
-        obs.on_skip(249)
+        obs.on_cycle_end(249)
         assert fake.calls == [(50, "ok"), (249, "ok")]
 
     def test_publisher_excluded_from_pickle(self):

@@ -417,3 +417,58 @@ class TestCacheHits:
         assert second == first
         assert diag.count("parallel.task_done") == 0
         assert diag.count("parallel.cache_hit") == first_runs
+
+
+_HOLD_POOL_SCRIPT = """
+import os, sys, time
+from multiprocessing import resource_tracker
+from repro.parallel.executor import _warm_pool
+worker = _warm_pool(1).submit(os.getpid).result(timeout=120)
+print(worker, resource_tracker._resource_tracker._pid, flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` alive and not a zombie?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestParentDeath:
+    def test_pool_worker_and_tracker_exit_with_sigkilled_parent(self):
+        """A parent killed with SIGKILL runs no shutdown code; its warm
+        pool worker and the resource tracker must still go away."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _HOLD_POOL_SCRIPT],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            pids = [int(p) for p in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_running, pids)):
+            time.sleep(0.1)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
